@@ -14,6 +14,7 @@ the one the benchmark suite asserts (>= 10x).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import platform
 import random
@@ -33,22 +34,26 @@ SCHEMA = "repro-bench/1"
 DEFAULT_SIZES = (16, 32)
 DEFAULT_SCAN_SIZES = (64, 128, 256)
 
-#: Element count for the packed-vs-unpacked comparison.  Large on
-#: purpose: at 2^20 elements both paths are far past NumPy dispatch
+#: Element count for the narrow-vs-uint64 lane comparison.  Large on
+#: purpose: at 2^20 elements both lanes are far past NumPy dispatch
 #: overhead and the ratio is stable on noisy hosts, which is what the
 #: benchmark suite gates.
-DEFAULT_PACKED_N = 1 << 20
-#: Ops with packed sub-lane kernels, benchmarked per supported format.
-PACKED_BENCH_OPS = ("add", "sub", "mul")
+DEFAULT_LANES_N = 1 << 20
+#: Ops that run on narrow lanes, benchmarked per narrow-lane format.
+LANE_BENCH_OPS = ("add", "sub", "mul")
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    """Best wall time of ``repeats`` runs (min filters scheduler noise)."""
+def _best_of(
+    fn: Callable[[], object],
+    repeats: int,
+    clock: Callable[[], float] = time.perf_counter,
+) -> float:
+    """Best ``clock`` time of ``repeats`` runs (min filters scheduler noise)."""
     best = float("inf")
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0 = clock()
         fn()
-        best = min(best, time.perf_counter() - t0)
+        best = min(best, clock() - t0)
     return best
 
 
@@ -150,48 +155,71 @@ def kernel_bench(
     }
 
 
-def packed_bench(
-    n: int = DEFAULT_PACKED_N,
-    ops: tuple[str, ...] = PACKED_BENCH_OPS,
+@contextlib.contextmanager
+def _uint64_lanes():
+    """Run every format on ``uint64`` lanes while the block is open.
+
+    Substitutes the vectorized module's one lane-selection function, as
+    a test fake would, so the baseline times the very same ``vec_*``
+    code on the widest lane.
+    """
+    import numpy as np
+
+    from repro.fp import vectorized
+
+    native = vectorized._lane_dtype
+    vectorized._lane_dtype = lambda fmt: np.uint64
+    try:
+        yield
+    finally:
+        vectorized._lane_dtype = native
+
+
+def lanes_bench(
+    n: int = DEFAULT_LANES_N,
+    ops: tuple[str, ...] = LANE_BENCH_OPS,
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
     repeats: int = 3,
     seed: int = 0,
 ) -> dict:
-    """Benchmark the packed sub-lane datapaths; return the snapshot dict.
+    """Benchmark the narrow lane dtypes; return the snapshot dict.
 
-    For every format with a supported packing (fp16/bf16 4-way, fp32
-    2-way) and every packed op, times one unpacked vectorized pass and
-    one packed pass over the same ``n`` random operand pairs — flags
-    on, the full service contract — and records the ratio as
-    ``packed_vs_unpacked.{op}.{fmt}.k{width}``.  Every timed pair is
-    also cross-checked element-wise (bits and flags), so a benchmark
-    run doubles as an equivalence check exactly like
-    :func:`kernel_bench`.
+    For every format whose add/sub/mul run on a narrow lane (fp16/bf16
+    on ``uint16``, fp32 on ``uint32``) and every op, times ``vec_{op}``
+    on its native lane and again with the lane pinned to ``uint64``,
+    over the same ``n`` random operand pairs — flags on, the full
+    service contract — and records the ratio as
+    ``lane_vs_uint64.{op}.{fmt}``.  Timings are best-of-``repeats``
+    process CPU time.  Every timed pair is also cross-checked
+    element-wise (bits and flags), so a benchmark run doubles as an
+    equivalence check exactly like :func:`kernel_bench`.
     """
     import numpy as np
 
+    from repro.fp import vectorized
     from repro.fp.format import ALL_FORMATS
-    from repro.fp.packing import packed_call, packing_width
-    from repro.fp.vectorized import vec_add, vec_mul, vec_sub
 
-    vec_fns = {"add": vec_add, "sub": vec_sub, "mul": vec_mul}
     rng = np.random.default_rng(seed)
     benchmarks: list[dict] = []
     speedups: dict[str, float] = {}
     lanes: list[dict] = []
     for fmt in ALL_FORMATS:
-        width = packing_width(fmt)
-        if width == 1:
+        dtype = vectorized.lane_dtype("mul", fmt)
+        if dtype == "uint64":
             continue
-        lanes.append({"fmt": fmt.name, "width": width})
+        lanes.append({"fmt": fmt.name, "dtype": dtype})
         a = rng.integers(0, fmt.word_mask + 1, size=n, dtype=np.uint64)
         b = rng.integers(0, fmt.word_mask + 1, size=n, dtype=np.uint64)
         for op in ops:
-            vec_fn = vec_fns[op]
-            want_bits, want_flags = vec_fn(fmt, a, b, mode, with_flags=True)
-            got_bits, got_flags = packed_call(
-                op, fmt, a, b, mode, width=width, with_flags=True
-            )
+            fn = getattr(vectorized, f"vec_{op}")
+
+            def call():
+                return fn(fmt, a, b, mode, with_flags=True)
+
+            got_bits, got_flags = call()
+            with _uint64_lanes():
+                want_bits, want_flags = call()
+                t_wide = _best_of(call, repeats, time.process_time)
             if not (
                 np.array_equal(got_bits, want_bits)
                 and np.array_equal(got_flags, want_flags)
@@ -200,33 +228,23 @@ def packed_bench(
                     (got_bits != want_bits) | (got_flags != want_flags)
                 )[0])
                 raise AssertionError(
-                    f"packed {op}/{fmt.name} x{width} diverged from "
-                    f"unpacked at element {bad}: a={int(a[bad]):#x} "
+                    f"{op}/{fmt.name} on {dtype} lanes diverged from "
+                    f"uint64 lanes at element {bad}: a={int(a[bad]):#x} "
                     f"b={int(b[bad]):#x}"
                 )
-            t_unpacked = _best_of(
-                lambda: vec_fn(fmt, a, b, mode, with_flags=True), repeats
-            )
-            t_packed = _best_of(
-                lambda: packed_call(
-                    op, fmt, a, b, mode, width=width, with_flags=True
-                ),
-                repeats,
-            )
+            t_native = _best_of(call, repeats, time.process_time)
             benchmarks.append({
-                "name": f"unpacked.{op}.{fmt.name}.n{n}",
-                "seconds": t_unpacked,
+                "name": f"uint64.{op}.{fmt.name}.n{n}",
+                "seconds": t_wide,
             })
             benchmarks.append({
-                "name": f"packed.{op}.{fmt.name}.k{width}.n{n}",
-                "seconds": t_packed,
+                "name": f"{dtype}.{op}.{fmt.name}.n{n}",
+                "seconds": t_native,
             })
-            speedups[f"packed_vs_unpacked.{op}.{fmt.name}.k{width}"] = (
-                t_unpacked / t_packed
-            )
+            speedups[f"lane_vs_uint64.{op}.{fmt.name}"] = t_wide / t_native
     return {
         "schema": SCHEMA,
-        "suite": "packed",
+        "suite": "lanes",
         "config": {
             "n": n,
             "ops": list(ops),
@@ -245,14 +263,15 @@ def packed_bench(
     }
 
 
-def render_packed(snapshot: dict) -> str:
-    """Human-readable summary of a packed snapshot."""
+def render_lanes(snapshot: dict) -> str:
+    """Human-readable summary of a lanes snapshot (with ns/element)."""
     cfg = snapshot["config"]
-    lanes = ", ".join(f"{l['fmt']} x{l['width']}" for l in cfg["lanes"])
-    lines = [f"packed bench (n={cfg['n']}, {cfg['mode']}; lanes: {lanes})"]
+    lanes = ", ".join(f"{l['fmt']} {l['dtype']}" for l in cfg["lanes"])
+    lines = [f"lanes bench (n={cfg['n']}, {cfg['mode']}; lanes: {lanes})"]
     for entry in snapshot["benchmarks"]:
         lines.append(
-            f"  {entry['name']:<32} {entry['seconds'] * 1000.0:>10.2f} ms"
+            f"  {entry['name']:<28} {entry['seconds'] * 1000.0:>10.2f} ms"
+            f" {entry['seconds'] * 1e9 / cfg['n']:>8.1f} ns/elem"
         )
     for name, ratio in snapshot["speedups"].items():
         lines.append(f"  {name:<36} {ratio:>9.2f}x")

@@ -13,8 +13,8 @@ Usage::
     repro cache clear         # drop it
     repro verify --pairs 1000000 --parallel 8   # differential campaign
     repro verify --kernels    # batched-vs-stepped array differential matrix
-    repro verify --packed     # packed-vs-unpacked sub-lane campaign
     repro bench --json BENCH_kernel.json        # kernel perf snapshot
+    repro bench --lanes --json BENCH_lanes.json # narrow vs uint64 lanes
     repro bench --service --json BENCH_service.json  # serving perf snapshot
     repro serve --port 8080   # micro-batching evaluation service
     repro explore --kinds adder --formats fp32   # NDJSON design points
@@ -196,11 +196,11 @@ def bench_command(args: argparse.Namespace) -> int:
             print(f"wrote {args.json}")
         return 0
 
-    if args.packed:
-        from repro.bench import packed_bench, render_packed
+    if args.lanes:
+        from repro.bench import lanes_bench, render_lanes
 
-        snapshot = packed_bench(repeats=args.repeats, seed=args.seed)
-        print(render_packed(snapshot))
+        snapshot = lanes_bench(repeats=args.repeats, seed=args.seed)
+        print(render_lanes(snapshot))
         if args.json:
             write_snapshot(snapshot, args.json)
             print(f"wrote {args.json}")
@@ -245,41 +245,11 @@ def verify_kernels_command(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def verify_packed_command(args: argparse.Namespace, formats, ops) -> int:
-    """Run the packed-vs-unpacked sub-lane differential campaign."""
-    from repro.fp.rounding import RoundingMode
-    from repro.verify.differential import run_packed_campaign
-
-    engine = build_engine(args)
-    report = run_packed_campaign(
-        formats=formats,
-        ops=ops,
-        modes=tuple(RoundingMode),
-        pairs_per_lane=args.pairs,
-        chunk_pairs=args.chunk,
-        seed=args.seed,
-        engine=engine,
-    )
-    print(report.summary())
-    for ex in report.examples():
-        print(
-            f"  counterexample [{ex.against}] {ex.op}/{ex.mode}: "
-            f"a={ex.a:#x} b={ex.b:#x} got={ex.got_bits:#x}/{ex.got_flags:#06b} "
-            f"want={ex.want_bits:#x}/{ex.want_flags:#06b}"
-        )
-    print(engine.metrics.summary(), file=sys.stderr)
-    return 0 if report.passed else 1
-
-
 def verify_command(args: argparse.Namespace) -> int:
     """Run the vectorized-vs-scalar-vs-oracle differential campaign."""
     from repro.fp.format import ALL_FORMATS
     from repro.fp.rounding import RoundingMode
-    from repro.verify.differential import (
-        CAMPAIGN_OPS,
-        PACKED_CAMPAIGN_OPS,
-        run_campaign,
-    )
+    from repro.verify.differential import CAMPAIGN_OPS, run_campaign
 
     if args.kernels:
         return verify_kernels_command(args)
@@ -298,22 +268,18 @@ def verify_command(args: argparse.Namespace) -> int:
         formats = [by_name[n] for n in names]
     else:
         formats = list(ALL_FORMATS)
-    known_ops = PACKED_CAMPAIGN_OPS if args.packed else CAMPAIGN_OPS
     if args.ops:
         ops = [o.strip() for o in args.ops.split(",") if o.strip()]
-        bad = [o for o in ops if o not in known_ops]
+        bad = [o for o in ops if o not in CAMPAIGN_OPS]
         if bad:
             print(
                 f"unknown ops: {', '.join(bad)} "
-                f"(known: {', '.join(known_ops)})",
+                f"(known: {', '.join(CAMPAIGN_OPS)})",
                 file=sys.stderr,
             )
             return 2
     else:
-        ops = list(known_ops)
-
-    if args.packed:
-        return verify_packed_command(args, formats, ops)
+        ops = list(CAMPAIGN_OPS)
 
     engine = build_engine(args)
     report = run_campaign(
@@ -821,12 +787,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "differential matrix instead of the datapath campaign",
     )
     parser.add_argument(
-        "--packed",
+        "--lanes",
         action="store_true",
-        help="with 'verify': run the packed-vs-unpacked sub-lane "
-        "differential campaign (add/sub/mul over every supported "
-        "format x packing width); with 'bench': benchmark the packed "
-        "datapaths against the unpacked vectorized baseline",
+        help="with 'bench': benchmark add/sub/mul of every narrow-lane "
+        "format on its native lane dtype against uint64 lanes",
     )
     parser.add_argument(
         "--explore",

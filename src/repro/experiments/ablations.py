@@ -14,7 +14,7 @@ or design knob and quantifies its effect.
 * :func:`fused_mac_ablation` — the chained-PE (paper) vs fused-MAC PE
   (extension): single rounding removes the intermediate error.
 * :func:`mixed_precision_matmul_ablation` — fp16/bf16 inputs computed
-  in-format (the packed sub-lane path) vs losslessly widened to fp32
+  in-format (the ``uint16`` lane datapaths) vs losslessly widened to fp32
   for the multiply-accumulate: what an fp32 accumulator buys back.
 """
 
@@ -221,12 +221,12 @@ def fused_matmul_ablation(n: int = 8, seed: int = 7) -> Table:
 def mixed_precision_matmul_ablation(n: int = 8, seed: int = 13) -> Table:
     """Small-format inputs with and without an fp32 accumulator.
 
-    The packed sub-lane datapaths make fp16/bf16 matmuls 2-4x cheaper
-    per limb pass; this ablation quantifies what the narrow formats
+    The ``uint16`` lane datapaths make fp16/bf16 matmuls about 2x
+    cheaper than ``uint64`` lanes; this ablation quantifies what the narrow formats
     cost in accuracy — and how much of it an fp32 accumulator buys
     back.  For each small format the same operand matrices (quantized
     to the small format, so encoding error is shared by every row) run
-    two ways: entirely in the small format (the packed path), and with
+    two ways: entirely in the small format (the narrow lane), and with
     the inputs losslessly widened to fp32 for fp32 multiply-accumulate
     (the classic mixed-precision recipe).  Error is measured against
     exact rational arithmetic on the small-format inputs.  Not in the

@@ -185,8 +185,8 @@ FP64 = FPFormat(exp_bits=11, man_bits=52, name="fp64")
 PAPER_FORMATS: tuple[FPFormat, ...] = (FP32, FP48, FP64)
 
 #: First-class small formats (beyond the paper): half precision and
-#: bfloat16, the sub-lane formats of the packed SIMD-within-a-lane
-#: datapaths (:mod:`repro.fp.packing`).
+#: bfloat16, which run add/sub/mul on ``uint16`` lanes in
+#: :mod:`repro.fp.vectorized`.
 SMALL_FORMATS: tuple[FPFormat, ...] = (FP16, BF16)
 
 #: Every named format the verification campaigns and the service know.

@@ -2,25 +2,45 @@
 
 Simulating large kernels one scalar op at a time is the bottleneck of
 the cycle-accurate models; this module re-implements the adder and
-multiplier datapaths as vectorized NumPy pipelines over ``uint64``
-arrays, bit-for-bit identical to the scalar datapaths (the test suite
-and the :mod:`repro.verify.differential` campaign prove it element-wise,
-specials included).
+multiplier datapaths as vectorized NumPy pipelines over unsigned
+integer arrays, bit-for-bit identical to the scalar datapaths (the test
+suite and the :mod:`repro.verify.differential` campaign prove it
+element-wise, specials included).
 
 Supported formats: total width <= 64 bits with 3..59 fraction bits —
 every format the paper studies (fp32, fp48, fp64) plus fp16-style and
-custom DSP formats.  Narrow formats (double-width product <= 64 bits)
-run on a single ``uint64`` limb; wide formats split the mantissa product
-across two 64-bit limbs, exactly as a 128-bit datapath would.  The
-GRS-extended adder path needs ``man_bits + 5`` bits and therefore always
-fits one limb.
+custom DSP formats.  The GRS-extended adder path needs ``man_bits + 5``
+bits and therefore always fits one ``uint64`` limb; wide formats split
+the mantissa product across two 64-bit limbs, exactly as a 128-bit
+datapath would.
+
+Lane dtypes
+-----------
+Like a multi-precision FPGA datapath partitioned by precision, add, sub
+and mul run in the narrowest unsigned *lane dtype* that holds the
+format, chosen from the format alone by :func:`_lane_dtype`:
+
+* ``uint16`` when ``width <= 16`` and ``man_bits <= 11``;
+* ``uint32`` when ``width <= 32`` and ``man_bits <= 27``;
+* ``uint64`` otherwise.
+
+The fraction bound is the guard band: the GRS-extended adder sums
+``man_bits + 4``-bit addends whose carry lands in bit ``man_bits + 4``,
+so a ``slot``-bit lane needs ``man_bits <= slot - 5`` to keep at least
+one bit of headroom above the widest in-lane value.  The double-width
+mantissa product widens to the next dtype (``uint32``/``uint64``) for
+the multiply step only; on ``uint64`` lanes it uses the one-/two-limb
+product of :func:`_wide_mul_grs`.  div, sqrt and fma always run on
+``uint64``.  Whatever the lane, every op accepts any unsigned (or
+non-negative signed) input array and returns ``uint64`` bit patterns.
 
 Semantics match :mod:`repro.fp.adder` / :mod:`repro.fp.multiplier`
 exactly: denormal-free (flush to zero), round-to-nearest-even or
 truncation, IEEE special handling, canonical NaN.  With
 ``with_flags=True`` each op also returns the per-element exception
-sideband in the 6-bit :meth:`repro.fp.flags.FPFlags.to_bits` layout,
-bit-identical to the scalar datapaths' flags.
+sideband as a ``uint8`` array in the 6-bit
+:meth:`repro.fp.flags.FPFlags.to_bits` layout, bit-identical to the
+scalar datapaths' flags.
 """
 
 from __future__ import annotations
@@ -32,6 +52,7 @@ from repro.fp.format import FPFormat
 from repro.fp.rounding import RoundingMode
 
 _U = np.uint64
+_F = np.uint8
 
 #: Widest total format width the vectorized datapaths accept.
 MAX_WIDTH = 64
@@ -48,6 +69,17 @@ _FL_INEXACT = 4
 _FL_UNDERFLOW = 8
 _FL_OVERFLOW = 16
 _FL_DIV_BY_ZERO = 32
+
+#: Lane dtype -> (signed dtype for exponent arithmetic, widened dtype
+#: for the mantissa product; ``None`` = :func:`_wide_mul_grs`'s limbs).
+_LANE_TYPES = {
+    np.uint16: (np.int16, np.uint32),
+    np.uint32: (np.int32, np.uint64),
+    np.uint64: (np.int64, None),
+}
+
+#: Ops that run in the format's lane dtype; div/sqrt/fma run on uint64.
+_LANE_OPS = ("add", "sub", "mul")
 
 
 def supports_vectorized(fmt: FPFormat) -> bool:
@@ -71,9 +103,18 @@ def check_vectorized_format(fmt: FPFormat) -> None:
         )
 
 
-# Backwards-compatible internal alias (historically three slightly
-# different guards lived here and in kernels/fast.py).
-_check_format = check_vectorized_format
+def _lane_dtype(fmt: FPFormat) -> type:
+    """The lane dtype add/sub/mul run in for ``fmt`` (see module doc)."""
+    for lane, slot in ((np.uint16, 16), (np.uint32, 32)):
+        if fmt.width <= slot and fmt.man_bits <= slot - 5:
+            return lane
+    return np.uint64
+
+
+def lane_dtype(op: str, fmt: FPFormat) -> str:
+    """Name of the dtype ``op`` runs in for ``fmt`` (e.g. ``"uint16"``)."""
+    lane = _lane_dtype(fmt) if op in _LANE_OPS else np.uint64
+    return np.dtype(lane).name
 
 
 def reduce_flags(*flag_words) -> FPFlags:
@@ -94,20 +135,29 @@ def reduce_flags(*flag_words) -> FPFlags:
     return FPFlags.from_bits(word)
 
 
-def _as_u64(fmt: FPFormat, a: np.ndarray, name: str) -> np.ndarray:
+def _as_lane(fmt: FPFormat, a: np.ndarray, name: str, lane: type = _U) -> np.ndarray:
+    """Validate one operand array and convert it to the lane dtype."""
     arr = np.asarray(a)
     if arr.dtype.kind not in "ui":
         raise TypeError(f"{name} must be an unsigned integer array")
-    arr = arr.astype(np.uint64)
+    if arr.dtype.kind == "i":
+        arr = arr.astype(np.uint64)  # range-check the uint64 view
     if arr.size and int(arr.max()) > fmt.word_mask:
         raise ValueError(f"{name} contains words outside {fmt.name}")
-    return arr
+    return arr.astype(lane)
+
+
+def _result(out: np.ndarray, flags):
+    """The public contract: uint64 bits, plus the sideband if computed."""
+    bits = out.astype(np.uint64, copy=False)
+    return bits if flags is None else (bits, flags)
 
 
 def _unpack(fmt: FPFormat, bits: np.ndarray):
-    sign = (bits >> _U(fmt.width - 1)) & _U(1)
-    exp = (bits >> _U(fmt.man_bits)) & _U(fmt.exp_mask)
-    man = bits & _U(fmt.man_mask)
+    U = bits.dtype.type
+    sign = (bits >> U(fmt.width - 1)) & U(1)
+    exp = (bits >> U(fmt.man_bits)) & U(fmt.exp_mask)
+    man = bits & U(fmt.man_mask)
     return sign, exp, man
 
 
@@ -126,35 +176,37 @@ def _round_vec(
     sticky: np.ndarray,
     mode: RoundingMode,
 ):
-    """Vector rounding; returns (sig, inexact)."""
+    """Vector rounding in the lane dtype of ``sig``; returns (sig, inexact)."""
+    U = sig.dtype.type
     inexact = (guard | rnd | sticky) != 0
     if mode is RoundingMode.TRUNCATE:
         return sig, inexact
-    round_up = (guard != 0) & ((rnd != 0) | (sticky != 0) | ((sig & _U(1)) != 0))
-    return sig + round_up.astype(np.uint64), inexact
+    round_up = (guard != 0) & ((rnd != 0) | (sticky != 0) | ((sig & U(1)) != 0))
+    return sig + round_up.astype(U), inexact
 
 
 def _pack_result(
     fmt: FPFormat,
     sign: np.ndarray,
-    exp: np.ndarray,  # int64, may be out of range
+    exp: np.ndarray,  # signed, may be out of range
     sig: np.ndarray,  # includes hidden bit
 ):
-    """Saturate/flush out-of-range exponents and pack.
+    """Saturate/flush out-of-range exponents and pack in the lane dtype.
 
     Returns ``(bits, overflow, underflow)`` so callers can raise the
     matching exception flags.
     """
+    U = sign.dtype.type
     overflow = exp >= fmt.exp_max
     underflow = exp <= 0
-    exp_c = np.clip(exp, 1, fmt.exp_max - 1).astype(np.uint64)
+    exp_c = np.clip(exp, 1, fmt.exp_max - 1).astype(U)
     out = (
-        (sign << _U(fmt.width - 1))
-        | (exp_c << _U(fmt.man_bits))
-        | (sig & _U(fmt.man_mask))
+        (sign << U(fmt.width - 1))
+        | (exp_c << U(fmt.man_bits))
+        | (sig & U(fmt.man_mask))
     )
-    inf = (sign << _U(fmt.width - 1)) | _U(fmt.inf(0))
-    zero = sign << _U(fmt.width - 1)
+    inf = (sign << U(fmt.width - 1)) | U(fmt.inf(0))
+    zero = sign << U(fmt.width - 1)
     out = np.where(overflow, inf, out)
     out = np.where(underflow, zero, out)
     return out, overflow, underflow
@@ -163,13 +215,31 @@ def _pack_result(
 def _wide_mul_grs(fmt: FPFormat, m1: np.ndarray, m2: np.ndarray):
     """Double-width mantissa product reduced to (sig, guard, rnd, sticky, top).
 
-    For products wider than 64 bits the multiply runs on two uint64
-    limbs: each significand splits at bit 32, the four 32x32 partial
-    products are recombined with an explicit carry, and the GRS
-    extraction indexes into the (hi, lo) limb pair.  Bit-exact with the
-    scalar ``fixed_mul`` + ``extract_grs`` composition.
+    On ``uint16``/``uint32`` lanes the product runs in the widened dtype
+    and sig/guard/round come out of one ``sig_bits + 2``-bit window, so
+    only two variable shifts run at the widened width.  On ``uint64``
+    lanes, products wider than 64 bits run on two limbs: each
+    significand splits at bit 32, the four 32x32 partial products are
+    recombined with an explicit carry, and the GRS extraction indexes
+    into the (hi, lo) limb pair.  Bit-exact with the scalar
+    ``fixed_mul`` + ``extract_grs`` composition.
     """
     prod_bits = 2 * fmt.sig_bits
+    U = m1.dtype.type
+    W = _LANE_TYPES[U][1]
+    if W is not None:
+        # 2 * sig_bits <= 2 * (slot - 4) always fits the widened dtype.
+        prod = m1.astype(W) * m2
+        top = ((prod >> W(prod_bits - 1)) & W(1)).astype(U)
+        dropped = (U(fmt.sig_bits - 1) + top).astype(W)
+        window = (prod >> (dropped - W(2))).astype(U)
+        sig = window >> U(2)
+        guard = (window >> U(1)) & U(1)
+        rnd = window & U(1)
+        sticky_mask = (W(1) << (dropped - W(2))) - W(1)
+        sticky = ((prod & sticky_mask) != 0).astype(U)
+        return sig, guard, rnd, sticky, top
+
     mask32 = _U(0xFFFFFFFF)
     if prod_bits <= 64:
         product = m1 * m2
@@ -205,6 +275,173 @@ def _wide_mul_grs(fmt: FPFormat, m1: np.ndarray, m2: np.ndarray):
     return sig, guard, rnd, sticky, top
 
 
+def _mul(
+    fmt: FPFormat,
+    a: np.ndarray,
+    b: np.ndarray,
+    mode: RoundingMode,
+    with_flags: bool,
+):
+    """vec_mul's datapath on validated lane arrays: (out, flags | None)."""
+    U = a.dtype.type
+    I = _LANE_TYPES[U][0]
+    s1, e1, f1 = _unpack(fmt, a)
+    s2, e2, f2 = _unpack(fmt, b)
+    z1, i1, n1 = _classify(fmt, e1, f1)
+    z2, i2, n2 = _classify(fmt, e2, f2)
+    sign = s1 ^ s2
+
+    hidden = U(1) << U(fmt.man_bits)
+    m1 = np.where(z1, U(0), f1 | hidden)
+    m2 = np.where(z2, U(0), f2 | hidden)
+
+    sig, guard, rnd, sticky, top = _wide_mul_grs(fmt, m1, m2)
+    exp = e1.astype(I) + e2.astype(I) - I(fmt.bias) + top.astype(I)
+
+    sig, inexact = _round_vec(sig, guard, rnd, sticky, mode)
+    carry = (sig >> U(fmt.sig_bits)) & U(1)
+    sig = np.where(carry != 0, sig >> U(1), sig)
+    exp = exp + carry.astype(I)
+
+    out, overflow, underflow = _pack_result(fmt, sign, exp, sig)
+
+    # Specials, in priority order (NaN > 0*Inf > Inf > zero).
+    any_nan = n1 | n2
+    zero_times_inf = (z1 & i2) | (z2 & i1)
+    any_inf = i1 | i2
+    any_zero = z1 | z2
+    signed_inf = (sign << U(fmt.width - 1)) | U(fmt.inf(0))
+    signed_zero = sign << U(fmt.width - 1)
+    out = np.where(any_zero, signed_zero, out)
+    out = np.where(any_inf, signed_inf, out)
+    out = np.where(zero_times_inf | any_nan, U(fmt.nan()), out)
+    if not with_flags:
+        return out, None
+
+    flags = np.where(inexact, _F(_FL_INEXACT), _F(0))
+    flags = np.where(overflow, _F(_FL_OVERFLOW | _FL_INEXACT), flags)
+    flags = np.where(underflow, _F(_FL_UNDERFLOW | _FL_INEXACT | _FL_ZERO), flags)
+    flags = np.where(any_zero, _F(_FL_ZERO), flags)
+    flags = np.where(any_inf, _F(0), flags)
+    flags = np.where(zero_times_inf | any_nan, _F(_FL_INVALID), flags)
+    return out, flags
+
+
+def _add(
+    fmt: FPFormat,
+    a: np.ndarray,
+    b: np.ndarray,
+    mode: RoundingMode,
+    with_flags: bool,
+):
+    """vec_add's datapath on validated lane arrays: (out, flags | None)."""
+    U = a.dtype.type
+    I = _LANE_TYPES[U][0]
+    s1, e1, f1 = _unpack(fmt, a)
+    s2, e2, f2 = _unpack(fmt, b)
+    z1, i1, n1 = _classify(fmt, e1, f1)
+    z2, i2, n2 = _classify(fmt, e2, f2)
+
+    hidden = U(1) << U(fmt.man_bits)
+    m1 = f1 | hidden
+    m2 = f2 | hidden
+
+    # Swap so operand 1 has the larger magnitude (exponent, then mantissa).
+    swap = (e2 > e1) | ((e2 == e1) & (m2 > m1))
+    e_big = np.where(swap, e2, e1)
+    e_small = np.where(swap, e1, e2)
+    m_big = np.where(swap, m2, m1)
+    m_small = np.where(swap, m1, m2)
+    s_big = np.where(swap, s2, s1)
+    s_small = np.where(swap, s1, s2)
+
+    # wide = man_bits + 4 <= slot - 1: the lane's guard band keeps the
+    # carry bit of total_add representable in the lane dtype.
+    wide = fmt.sig_bits + 3
+    diff = e_big - e_small
+    shift = np.minimum(diff, U(wide))
+    big = m_big << U(3)
+    small_full = m_small << U(3)
+    small = np.where(diff >= wide, U(0), small_full >> shift)
+    drop_mask = np.where(
+        diff >= wide, ~U(0) >> U(1), (U(1) << shift) - U(1)
+    )
+    sticky = ((small_full & drop_mask) != 0).astype(U)
+
+    subtract = s_big != s_small
+    total_add = big + small
+    carry = (total_add >> U(wide)) & U(1)
+    sticky_add = np.where(carry != 0, sticky | (total_add & U(1)), sticky)
+    total_add = np.where(carry != 0, total_add >> U(1), total_add)
+    exp_add = e_big.astype(I) + carry.astype(I)
+
+    total_sub = big - small - sticky
+    total = np.where(subtract, total_sub, total_add)
+    sticky = np.where(subtract, sticky, sticky_add)
+    exp = np.where(subtract, e_big.astype(I), exp_add)
+
+    cancel = subtract & (total == 0)
+
+    # Normalize left: distance of the leading one from bit (wide-1).
+    safe_total = np.where(total == 0, U(1), total)
+    # bit_length via float log2 is unsafe; use a shift loop over the
+    # fixed, small width instead (wide <= 63 for supported formats).
+    lz = np.zeros_like(total, dtype=I)
+    probe = safe_total
+    for step in (32, 16, 8, 4, 2, 1):
+        if step >= wide:
+            continue
+        mask = probe < (U(1) << U(wide - step))
+        lz = lz + np.where(mask, I(step), I(0))
+        probe = np.where(mask, probe << U(step), probe)
+    total_n = safe_total << lz.astype(U)
+    exp = exp - lz
+
+    guard = (total_n >> U(2)) & U(1)
+    rnd = (total_n >> U(1)) & U(1)
+    st_bit = (total_n & U(1)) | sticky
+    sig = total_n >> U(3)
+    sig, inexact = _round_vec(sig, guard, rnd, st_bit, mode)
+    carry2 = (sig >> U(fmt.sig_bits)) & U(1)
+    sig = np.where(carry2 != 0, sig >> U(1), sig)
+    exp = exp + carry2.astype(I)
+
+    result_sign = s_big
+    out, overflow, underflow = _pack_result(fmt, result_sign, exp, sig)
+    out = np.where(cancel, U(0), out)  # exact cancellation -> +0
+
+    # Zero-operand fast paths (the denormal-free zero semantics).
+    both_zero = z1 & z2
+    one_zero = z1 ^ z2
+    zero_sign = np.where(s1 == s2, s1, U(0)) << U(fmt.width - 1)
+    pass_b = (s2 << U(fmt.width - 1)) | (e2 << U(fmt.man_bits)) | f2
+    pass_a = (s1 << U(fmt.width - 1)) | (e1 << U(fmt.man_bits)) | f1
+    out = np.where(z1 & ~z2, pass_b, out)
+    out = np.where(z2 & ~z1, pass_a, out)
+    out = np.where(both_zero, zero_sign, out)
+
+    # Specials.
+    inf_conflict = i1 & i2 & (s1 != s2)
+    signed_inf1 = (s1 << U(fmt.width - 1)) | U(fmt.inf(0))
+    signed_inf2 = (s2 << U(fmt.width - 1)) | U(fmt.inf(0))
+    out = np.where(i1, signed_inf1, out)
+    out = np.where(i2 & ~i1, signed_inf2, out)
+    any_nan = n1 | n2
+    out = np.where(inf_conflict | any_nan, U(fmt.nan()), out)
+    if not with_flags:
+        return out, None
+
+    flags = np.where(inexact, _F(_FL_INEXACT), _F(0))
+    flags = np.where(underflow, _F(_FL_UNDERFLOW | _FL_INEXACT | _FL_ZERO), flags)
+    flags = np.where(overflow, _F(_FL_OVERFLOW | _FL_INEXACT), flags)
+    flags = np.where(cancel, _F(_FL_ZERO), flags)
+    flags = np.where(one_zero, _F(0), flags)
+    flags = np.where(both_zero, _F(_FL_ZERO), flags)
+    flags = np.where(i1 | i2, _F(0), flags)
+    flags = np.where(inf_conflict | any_nan, _F(_FL_INVALID), flags)
+    return out, flags
+
+
 def vec_mul(
     fmt: FPFormat,
     a: np.ndarray,
@@ -219,48 +456,10 @@ def vec_mul(
     identical to the scalar :func:`repro.fp.multiplier.fp_mul` flags.
     """
     check_vectorized_format(fmt)
-    a = _as_u64(fmt, a, "a")
-    b = _as_u64(fmt, b, "b")
-    s1, e1, f1 = _unpack(fmt, a)
-    s2, e2, f2 = _unpack(fmt, b)
-    z1, i1, n1 = _classify(fmt, e1, f1)
-    z2, i2, n2 = _classify(fmt, e2, f2)
-    sign = s1 ^ s2
-
-    hidden = _U(1) << _U(fmt.man_bits)
-    m1 = np.where(z1, _U(0), f1 | hidden)
-    m2 = np.where(z2, _U(0), f2 | hidden)
-
-    sig, guard, rnd, sticky, top = _wide_mul_grs(fmt, m1, m2)
-    exp = e1.astype(np.int64) + e2.astype(np.int64) - fmt.bias + top.astype(np.int64)
-
-    sig, inexact = _round_vec(sig, guard, rnd, sticky, mode)
-    carry = (sig >> _U(fmt.sig_bits)) & _U(1)
-    sig = np.where(carry != 0, sig >> _U(1), sig)
-    exp = exp + carry.astype(np.int64)
-
-    out, overflow, underflow = _pack_result(fmt, sign, exp, sig)
-
-    # Specials, in priority order (NaN > 0*Inf > Inf > zero).
-    any_nan = n1 | n2
-    zero_times_inf = (z1 & i2) | (z2 & i1)
-    any_inf = i1 | i2
-    any_zero = z1 | z2
-    signed_inf = (sign << _U(fmt.width - 1)) | _U(fmt.inf(0))
-    signed_zero = sign << _U(fmt.width - 1)
-    out = np.where(any_zero, signed_zero, out)
-    out = np.where(any_inf, signed_inf, out)
-    out = np.where(zero_times_inf | any_nan, _U(fmt.nan()), out)
-    if not with_flags:
-        return out
-
-    flags = np.where(inexact, _FL_INEXACT, 0)
-    flags = np.where(overflow, _FL_OVERFLOW | _FL_INEXACT, flags)
-    flags = np.where(underflow, _FL_UNDERFLOW | _FL_INEXACT | _FL_ZERO, flags)
-    flags = np.where(any_zero, _FL_ZERO, flags)
-    flags = np.where(any_inf, 0, flags)
-    flags = np.where(zero_times_inf | any_nan, _FL_INVALID, flags)
-    return out, flags.astype(np.uint8)
+    lane = _lane_dtype(fmt)
+    a = _as_lane(fmt, a, "a", lane)
+    b = _as_lane(fmt, b, "b", lane)
+    return _result(*_mul(fmt, a, b, mode, with_flags))
 
 
 def vec_add(
@@ -276,109 +475,10 @@ def vec_add(
     scalar :func:`repro.fp.adder.fp_add` sideband per element.
     """
     check_vectorized_format(fmt)
-    a = _as_u64(fmt, a, "a")
-    b = _as_u64(fmt, b, "b")
-    s1, e1, f1 = _unpack(fmt, a)
-    s2, e2, f2 = _unpack(fmt, b)
-    z1, i1, n1 = _classify(fmt, e1, f1)
-    z2, i2, n2 = _classify(fmt, e2, f2)
-
-    hidden = _U(1) << _U(fmt.man_bits)
-    m1 = f1 | hidden
-    m2 = f2 | hidden
-
-    # Swap so operand 1 has the larger magnitude (exponent, then mantissa).
-    swap = (e2 > e1) | ((e2 == e1) & (m2 > m1))
-    e_big = np.where(swap, e2, e1)
-    e_small = np.where(swap, e1, e2)
-    m_big = np.where(swap, m2, m1)
-    m_small = np.where(swap, m1, m2)
-    s_big = np.where(swap, s2, s1)
-    s_small = np.where(swap, s1, s2)
-
-    wide = fmt.sig_bits + 3  # <= 63 for supported formats: one uint64 limb
-    diff = e_big - e_small
-    shift = np.minimum(diff, _U(wide))
-    big = m_big << _U(3)
-    small_full = m_small << _U(3)
-    small = np.where(diff >= wide, _U(0), small_full >> shift)
-    drop_mask = np.where(
-        diff >= wide, ~_U(0) >> _U(1), (_U(1) << shift) - _U(1)
-    )
-    sticky = ((small_full & drop_mask) != 0).astype(np.uint64)
-
-    subtract = s_big != s_small
-    total_add = big + small
-    carry = (total_add >> _U(wide)) & _U(1)
-    sticky_add = np.where(carry != 0, sticky | (total_add & _U(1)), sticky)
-    total_add = np.where(carry != 0, total_add >> _U(1), total_add)
-    exp_add = e_big.astype(np.int64) + carry.astype(np.int64)
-
-    total_sub = big - small - sticky
-    total = np.where(subtract, total_sub, total_add)
-    sticky = np.where(subtract, sticky, sticky_add)
-    exp = np.where(subtract, e_big.astype(np.int64), exp_add)
-
-    cancel = subtract & (total == 0)
-
-    # Normalize left: distance of the leading one from bit (wide-1).
-    safe_total = np.where(total == 0, _U(1), total)
-    # bit_length via float log2 is unsafe; use a shift loop over the
-    # fixed, small width instead (wide <= 63 for supported formats).
-    lz = np.zeros_like(total, dtype=np.int64)
-    probe = safe_total
-    for step in (32, 16, 8, 4, 2, 1):
-        if step >= wide:
-            continue
-        mask = probe < (_U(1) << _U(wide - step))
-        lz = lz + np.where(mask, step, 0)
-        probe = np.where(mask, probe << _U(step), probe)
-    total_n = safe_total << lz.astype(np.uint64)
-    exp = exp - lz
-
-    guard = (total_n >> _U(2)) & _U(1)
-    rnd = (total_n >> _U(1)) & _U(1)
-    st_bit = (total_n & _U(1)) | sticky
-    sig = total_n >> _U(3)
-    sig, inexact = _round_vec(sig, guard, rnd, st_bit, mode)
-    carry2 = (sig >> _U(fmt.sig_bits)) & _U(1)
-    sig = np.where(carry2 != 0, sig >> _U(1), sig)
-    exp = exp + carry2.astype(np.int64)
-
-    result_sign = s_big
-    out, overflow, underflow = _pack_result(fmt, result_sign, exp, sig)
-    out = np.where(cancel, _U(0), out)  # exact cancellation -> +0
-
-    # Zero-operand fast paths (the denormal-free zero semantics).
-    both_zero = z1 & z2
-    one_zero = z1 ^ z2
-    zero_sign = np.where(s1 == s2, s1, _U(0)) << _U(fmt.width - 1)
-    pass_b = (s2 << _U(fmt.width - 1)) | (e2 << _U(fmt.man_bits)) | f2
-    pass_a = (s1 << _U(fmt.width - 1)) | (e1 << _U(fmt.man_bits)) | f1
-    out = np.where(z1 & ~z2, pass_b, out)
-    out = np.where(z2 & ~z1, pass_a, out)
-    out = np.where(both_zero, zero_sign, out)
-
-    # Specials.
-    inf_conflict = i1 & i2 & (s1 != s2)
-    signed_inf1 = (s1 << _U(fmt.width - 1)) | _U(fmt.inf(0))
-    signed_inf2 = (s2 << _U(fmt.width - 1)) | _U(fmt.inf(0))
-    out = np.where(i1, signed_inf1, out)
-    out = np.where(i2 & ~i1, signed_inf2, out)
-    any_nan = n1 | n2
-    out = np.where(inf_conflict | any_nan, _U(fmt.nan()), out)
-    if not with_flags:
-        return out
-
-    flags = np.where(inexact, _FL_INEXACT, 0)
-    flags = np.where(underflow, _FL_UNDERFLOW | _FL_INEXACT | _FL_ZERO, flags)
-    flags = np.where(overflow, _FL_OVERFLOW | _FL_INEXACT, flags)
-    flags = np.where(cancel, _FL_ZERO, flags)
-    flags = np.where(one_zero, 0, flags)
-    flags = np.where(both_zero, _FL_ZERO, flags)
-    flags = np.where(i1 | i2, 0, flags)
-    flags = np.where(inf_conflict | any_nan, _FL_INVALID, flags)
-    return out, flags.astype(np.uint8)
+    lane = _lane_dtype(fmt)
+    a = _as_lane(fmt, a, "a", lane)
+    b = _as_lane(fmt, b, "b", lane)
+    return _result(*_add(fmt, a, b, mode, with_flags))
 
 
 def vec_sub(
@@ -390,15 +490,14 @@ def vec_sub(
 ):
     """Element-wise FP subtract: sign-flip feeding :func:`vec_add`."""
     check_vectorized_format(fmt)
-    b = _as_u64(fmt, b, "b")
+    U = _lane_dtype(fmt)
+    b = _as_lane(fmt, b, "b", U)
+    a = _as_lane(fmt, a, "a", U)
     _, eb, fb = _unpack(fmt, b)
     nan_b = (eb == fmt.exp_max) & (fb != 0)
-    flipped = b ^ (_U(1) << _U(fmt.width - 1))
-    if not with_flags:
-        out = vec_add(fmt, a, flipped, mode)
-        return np.where(nan_b, _U(fmt.nan()), out)
-    out, flags = vec_add(fmt, a, flipped, mode, with_flags=True)
-    return np.where(nan_b, _U(fmt.nan()), out), flags
+    flipped = b ^ (U(1) << U(fmt.width - 1))
+    out, flags = _add(fmt, a, flipped, mode, with_flags)
+    return _result(np.where(nan_b, U(fmt.nan()), out), flags)
 
 
 def vec_div(
@@ -418,8 +517,8 @@ def vec_div(
     final remainder drives the honest sticky bit.
     """
     check_vectorized_format(fmt)
-    a = _as_u64(fmt, a, "a")
-    b = _as_u64(fmt, b, "b")
+    a = _as_lane(fmt, a, "a")
+    b = _as_lane(fmt, b, "b")
     s1, e1, f1 = _unpack(fmt, a)
     s2, e2, f2 = _unpack(fmt, b)
     z1, i1, n1 = _classify(fmt, e1, f1)
@@ -501,7 +600,7 @@ def vec_sqrt(
     read straight out of the adjusted significand.
     """
     check_vectorized_format(fmt)
-    a = _as_u64(fmt, a, "a")
+    a = _as_lane(fmt, a, "a")
     s, e, f = _unpack(fmt, a)
     is_zero, is_inf, is_nan = _classify(fmt, e, f)
 
@@ -625,9 +724,9 @@ def vec_fma(
     FMA with a ``3*sig_bits+2``-bit alignment datapath would.
     """
     check_vectorized_format(fmt)
-    a = _as_u64(fmt, a, "a")
-    b = _as_u64(fmt, b, "b")
-    c = _as_u64(fmt, c, "c")
+    a = _as_lane(fmt, a, "a")
+    b = _as_lane(fmt, b, "b")
+    c = _as_lane(fmt, c, "c")
     s1, e1, f1 = _unpack(fmt, a)
     s2, e2, f2 = _unpack(fmt, b)
     s3, e3, f3 = _unpack(fmt, c)

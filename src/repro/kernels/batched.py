@@ -38,16 +38,10 @@ import numpy as np
 
 from repro.fp.flags import FPFlags
 from repro.fp.format import FPFormat
-from repro.fp.packing import (
-    pack_words,
-    packed_add,
-    packed_mul,
-    packing_width,
-    unpack_words,
-)
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import (
     check_vectorized_format,
+    lane_dtype,
     reduce_flags,
     vec_add,
     vec_fma,
@@ -142,16 +136,8 @@ class BatchedMatmulArray:
     #: rounds the product and the sum separately.
     roundings_per_mac = 2
 
-    #: Whether this backend's wavefront can run on the packed sub-lane
-    #: datapaths (chained mul+add only; there is no packed fused MAC).
-    packed_capable = True
-
-    @property
-    def packing_width(self) -> int:
-        """Sub-lane packing degree of this run (1 = unpacked)."""
-        if not self.packed_capable:
-            return 1
-        return packing_width(self.fmt)
+    #: The op whose lane dtype a wavefront runs in (mul and add share it).
+    wavefront_op = "mul"
 
     @property
     def pipeline_latency(self) -> int:
@@ -194,26 +180,21 @@ class BatchedMatmulArray:
 
         a_np = np.asarray(a, dtype=np.uint64)
         b_np = np.asarray(b, dtype=np.uint64)
-        if self.packing_width > 1:
-            acc, flags = self._run_packed(a_np, b_np, trace)
-        else:
-            acc = np.full((n, n), self.fmt.zero(), dtype=np.uint64)
-            flags = FPFlags()
-            for k in range(n):
-                span = (
-                    trace.begin(
-                        "kernel.wavefront",
-                        tags={"k": k, "path": "vectorized"},
-                    )
-                    if trace is not None
-                    else None
-                )
-                col = np.broadcast_to(a_np[:, k : k + 1], (n, n))
-                row = np.broadcast_to(b_np[k : k + 1, :], (n, n))
-                acc, wavefront_flags = self._mac_wavefront(col, row, acc)
-                flags = flags | wavefront_flags
-                if span is not None:
-                    span.finish()
+        dtype = lane_dtype(self.wavefront_op, self.fmt)
+        acc = np.full((n, n), self.fmt.zero(), dtype=np.uint64)
+        flags = FPFlags()
+        for k in range(n):
+            span = (
+                trace.begin("kernel.wavefront", tags={"k": k, "dtype": dtype})
+                if trace is not None
+                else None
+            )
+            col = np.broadcast_to(a_np[:, k : k + 1], (n, n))
+            row = np.broadcast_to(b_np[k : k + 1, :], (n, n))
+            acc, wavefront_flags = self._mac_wavefront(col, row, acc)
+            flags = flags | wavefront_flags
+            if span is not None:
+                span.finish()
 
         c = [[int(acc[i][j]) for j in range(n)] for i in range(n)]
         return MatmulRun(
@@ -237,47 +218,6 @@ class BatchedMatmulArray:
         acc, add_flags = vec_add(self.fmt, acc, prod, self.mode, with_flags=True)
         return acc, reduce_flags(mul_flags, add_flags)
 
-    def _run_packed(self, a_np, b_np, trace=None):
-        """All ``n`` wavefronts on the packed sub-lane datapaths.
-
-        The accumulator stays packed for the whole run; each wavefront
-        packs its broadcast operands and performs ``packing_width``
-        logical MACs per limb lane pass.  The per-lane flag sidebands
-        are sliced to the ``n^2`` logical accumulators before the
-        sticky OR-reduce, so tail pad lanes (which compute ``0*0`` /
-        ``0+0`` and raise the zero flag) never leak into the run's
-        flag bundle.  Bit- and flag-identical to the unpacked loop.
-        """
-        fmt, mode, n = self.fmt, self.mode, self.n
-        width = self.packing_width
-        acc, count = pack_words(
-            fmt, np.full(n * n, fmt.zero(), dtype=np.uint64), width
-        )
-        flags = FPFlags()
-        for k in range(n):
-            span = (
-                trace.begin(
-                    "kernel.wavefront",
-                    tags={"k": k, "path": "packed", "width": width},
-                )
-                if trace is not None
-                else None
-            )
-            col = np.broadcast_to(a_np[:, k : k + 1], (n, n)).ravel()
-            row = np.broadcast_to(b_np[k : k + 1, :], (n, n)).ravel()
-            pc, _ = pack_words(fmt, col, width)
-            pr, _ = pack_words(fmt, row, width)
-            prod, mul_flags = packed_mul(
-                fmt, pc, pr, mode, width=width, with_flags=True
-            )
-            acc, add_flags = packed_add(
-                fmt, acc, prod, mode, width=width, with_flags=True
-            )
-            flags = flags | reduce_flags(mul_flags[:count], add_flags[:count])
-            if span is not None:
-                span.finish()
-        return unpack_words(fmt, acc, count, width).reshape(n, n), flags
-
 
 class FusedMatmulArray(BatchedMatmulArray):
     """Wavefront-batched array with a fused-MAC PE datapath.
@@ -296,10 +236,7 @@ class FusedMatmulArray(BatchedMatmulArray):
 
     roundings_per_mac = 1
 
-    # The fused wavefront has no packed counterpart (vec_fma's 192-bit
-    # alignment window does not fit a sub-lane), so it always runs on
-    # the unpacked vectorized path.
-    packed_capable = False
+    wavefront_op = "fma"
 
     def _mac_wavefront(self, col, row, acc):
         acc, fl = vec_fma(self.fmt, col, row, acc, self.mode, with_flags=True)

@@ -16,14 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fp.format import FPFormat
-from repro.fp.packing import (
-    check_packed_format,
-    pack_words,
-    packed_add,
-    packed_mul,
-    packing_width,
-    unpack_words,
-)
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import (
     check_vectorized_format,
@@ -33,49 +25,11 @@ from repro.fp.vectorized import (
 )
 
 
-def functional_matmul_packed(
-    fmt: FPFormat,
-    a: np.ndarray,
-    b: np.ndarray,
-    mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    width: int | None = None,
-) -> np.ndarray:
-    """Packed-lane matmul: the SIMD-within-a-lane twin of
-    :func:`functional_matmul_vectorized`.
-
-    The accumulator stays packed across all ``n`` rounds — operands are
-    packed once per round, the result unpacks once at the end — so each
-    round's multiply and add run at ``width`` logical MACs per lane.
-    Bit-identical to the unpacked kernel (the packed datapaths are
-    lane-exact mirrors of ``vec_mul``/``vec_add``).
-    """
-    if width is None:
-        width = packing_width(fmt)
-    check_packed_format(fmt, width)
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise ValueError(f"expected equal square matrices, got {a.shape}, {b.shape}")
-    n = a.shape[0]
-    acc, count = pack_words(
-        fmt, np.full(n * n, fmt.zero(), dtype=np.uint64), width
-    )
-    for k in range(n):
-        col = np.broadcast_to(a[:, k : k + 1], (n, n)).ravel()
-        row = np.broadcast_to(b[k : k + 1, :], (n, n)).ravel()
-        pc, _ = pack_words(fmt, col, width)
-        pr, _ = pack_words(fmt, row, width)
-        prod = packed_mul(fmt, pc, pr, mode, width=width)
-        acc = packed_add(fmt, acc, prod, mode, width=width)
-    return unpack_words(fmt, acc, count, width).reshape(n, n)
-
-
 def functional_matmul_vectorized(
     fmt: FPFormat,
     a: np.ndarray,
     b: np.ndarray,
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    packed: bool | None = None,
 ) -> np.ndarray:
     """Bit-exact matmul reference at array speed (widths <= 64).
 
@@ -83,17 +37,7 @@ def functional_matmul_vectorized(
     result has the same dtype/shape.  Accumulation order matches the
     linear-array schedule: for each output, products are added in
     ascending ``k``.
-
-    Formats that qualify for sub-lane packing (fp16/bf16 4-way, fp32
-    2-way — see :func:`repro.fp.packing.packing_width`) route to
-    :func:`functional_matmul_packed` transparently; pass
-    ``packed=False`` to force the unpacked path (the oracle the packed
-    path is verified against) or ``packed=True`` to require packing.
     """
-    if packed is None:
-        packed = packing_width(fmt) > 1
-    if packed:
-        return functional_matmul_packed(fmt, a, b, mode)
     check_vectorized_format(fmt)
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)

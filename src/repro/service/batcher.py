@@ -44,10 +44,10 @@ from repro.fp.divider import fp_div
 from repro.fp.format import FPFormat
 from repro.fp.mac import fp_fma
 from repro.fp.multiplier import fp_mul
-from repro.fp.packing import PACKED_OPS, packed_call, packing_width
 from repro.fp.rounding import RoundingMode
 from repro.fp.sqrt import fp_sqrt
 from repro.fp.vectorized import (
+    lane_dtype,
     vec_add,
     vec_div,
     vec_fma,
@@ -92,16 +92,10 @@ class BatchIntegrityError(Exception):
     """A batch's sampled element disagreed with the scalar datapath."""
 
 
-def lane_packing_width(op: str, fmt: FPFormat) -> int:
-    """Sub-lane packing degree of one service lane (1 = unpacked).
-
-    A lane packs when its op has a packed kernel (add/sub/mul) **and**
-    its format fits a sub-lane (:func:`repro.fp.packing.packing_width`):
-    fp16/bf16 run 4-way, fp32 2-way, everything else unpacked.
-    """
-    if op not in PACKED_OPS:
-        return 1
-    return packing_width(fmt)
+def packed_call(op: str, fmt: FPFormat, *args, **kwargs):
+    # Never called here: perfbench/serve_burst.py patches this name in
+    # its traced runs; drop it once that script stops reading it.
+    return OPS[op][1](fmt, *args, **kwargs)
 
 
 def execute_batch(
@@ -116,11 +110,6 @@ def execute_batch(
     ``requests`` is one operand tuple per request (arity words each).
     Returns one ``(bits, flags)`` pair per request, in request order.
     Runs on the executor thread; everything it touches is local.
-
-    Lanes whose (op, format) qualify run on the packed sub-lane
-    datapaths (2-4 logical ops per limb pass); the scatter contract is
-    unchanged — per-request ``(bits, flags)``, bit- and flag-identical
-    to the unpacked path, with tail pad lanes never surfacing.
     """
     scalar_fn, vec_fn, arity = OPS[op]
     n = len(requests)
@@ -128,13 +117,7 @@ def execute_batch(
         np.fromiter((t[j] for t in requests), dtype=np.uint64, count=n)
         for j in range(arity)
     ]
-    width = lane_packing_width(op, fmt)
-    if width > 1:
-        bits, flags = packed_call(
-            op, fmt, *columns, mode, width=width, with_flags=True
-        )
-    else:
-        bits, flags = vec_fn(fmt, *columns, mode, with_flags=True)
+    bits, flags = vec_fn(fmt, *columns, mode, with_flags=True)
     if spot_check:
         # One sampled element per batch, replayed through the scalar
         # datapath: a cheap, always-on differential probe whose cost the
@@ -280,14 +263,9 @@ class MicroBatcher:
         batch: List[_QueueItem],
     ) -> None:
         requests = [operands for operands, _, _, _ in batch]
-        width = lane_packing_width(op, fmt)
         if self.telemetry is not None:
-            labels = (op, fmt.name, mode.value)
             self.telemetry.batch_size.observe(len(batch))
-            self.telemetry.batches_total.inc(labels)
-            self.telemetry.lane_packing_width.set(labels, width)
-            if width > 1:
-                self.telemetry.packed_batches_total.inc(labels)
+            self.telemetry.batches_total.inc((op, fmt.name, mode.value))
             if self.config.spot_check:
                 self.telemetry.spot_checks_total.inc()
         # Per-member span work happens once, after execution: each
@@ -308,8 +286,7 @@ class MicroBatcher:
                 tags={
                     "lane": f"{op}/{fmt.name}/{mode.value}",
                     "batch_size": len(batch),
-                    "packing_width": width,
-                    "path": "packed" if width > 1 else "vectorized",
+                    "dtype": lane_dtype(op, fmt),
                 },
             )
         loop = asyncio.get_running_loop()

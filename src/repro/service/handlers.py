@@ -265,7 +265,7 @@ class Handlers:
 
     def handle_batch_stats(self, request: Request) -> Reply:
         """Per-lane batching view: one row per executed (op, format,
-        mode) lane with its batch count and sub-lane packing degree."""
+        mode) lane with its batch count."""
         telemetry = self.service.telemetry
         lanes = []
         for labels, batches in telemetry.batches_total.series():
@@ -276,12 +276,6 @@ class Handlers:
                     "format": fmt_name,
                     "mode": mode,
                     "batches": batches,
-                    "packed_batches": telemetry.packed_batches_total.value(
-                        labels
-                    ),
-                    "packing_width": int(
-                        telemetry.lane_packing_width.value(labels, 1)
-                    ),
                 }
             )
         return _json_reply(
@@ -289,7 +283,6 @@ class Handlers:
             {
                 "lanes": lanes,
                 "batches": telemetry.batches_total.total,
-                "packed_batches": telemetry.packed_batches_total.total,
                 "mean_batch_size": round(telemetry.batch_size.mean, 3),
             },
         )

@@ -76,25 +76,6 @@ class Gauge:
             self.max_seen = value
 
 
-class LabeledGauge:
-    """Point-in-time value per label set (e.g. one value per lane)."""
-
-    def __init__(self, name: str, help: str, label_names: Sequence[str]) -> None:
-        self.name = name
-        self.help = help
-        self.label_names = tuple(label_names)
-        self._series: Dict[Labels, float] = {}
-
-    def set(self, labels: Labels, value: float) -> None:
-        self._series[labels] = value
-
-    def value(self, labels: Labels, default: float = 0.0) -> float:
-        return self._series.get(labels, default)
-
-    def series(self) -> Iterable[Tuple[Labels, float]]:
-        return sorted(self._series.items())
-
-
 class Histogram:
     """Fixed-bucket histogram with interpolated quantiles.
 
@@ -276,16 +257,6 @@ class Telemetry:
             "Executed vectorized batches by lane.",
             ("op", "format", "mode"),
         )
-        self.packed_batches_total = Counter(
-            "repro_packed_batches_total",
-            "Batches executed on the packed sub-lane datapaths, by lane.",
-            ("op", "format", "mode"),
-        )
-        self.lane_packing_width = LabeledGauge(
-            "repro_lane_packing_width",
-            "Sub-lane packing degree of each executed lane (1 = unpacked).",
-            ("op", "format", "mode"),
-        )
         self.queue_depth = Gauge(
             "repro_queue_depth", "Admitted requests currently in flight."
         )
@@ -337,7 +308,6 @@ class Telemetry:
             "in_flight": self.queue_depth.value,
             "queue_depth_max": self.queue_depth.max_seen,
             "batches": self.batches_total.total,
-            "packed_batches": self.packed_batches_total.total,
             "mean_batch_size": round(self.batch_size.mean, 3),
             "shed": self.shed_total.total,
             "timeouts": self.timeout_total.total,
@@ -395,17 +365,6 @@ class Telemetry:
             out.append(f"# TYPE {g.name}_max gauge")
             out.append(f"{g.name}_max {g.max_seen}")
 
-        def labeled_gauge(g: LabeledGauge) -> None:
-            out.append(f"# HELP {g.name} {g.help}")
-            out.append(f"# TYPE {g.name} gauge")
-            if not g._series:
-                out.append(f"{g.name} 0")
-            for labels, value in g.series():
-                pairs = ",".join(
-                    f'{k}="{v}"' for k, v in zip(g.label_names, labels)
-                )
-                out.append(f"{g.name}{{{pairs}}} {value:g}")
-
         def histogram(h: Histogram) -> None:
             out.append(f"# HELP {h.name} {h.help}")
             out.append(f"# TYPE {h.name} histogram")
@@ -455,8 +414,6 @@ class Telemetry:
         histogram(self.batch_size)
         labeled_histogram(self.stage_latency_s)
         counter(self.batches_total)
-        counter(self.packed_batches_total)
-        labeled_gauge(self.lane_packing_width)
         gauge(self.queue_depth)
         counter(self.shed_total)
         counter(self.timeout_total)

@@ -7,7 +7,7 @@ exact rational oracles — the full equivalence chain::
 
     fp.reference (exact Fraction/isqrt oracles)
         == fp.adder / fp.multiplier / fp.divider / fp.sqrt / fp.mac
-        == fp.vectorized (NumPy limb pipelines)
+        == fp.vectorized (NumPy pipelines on uint16/32/64 lanes)
 
 All six ops are covered: add/sub/mul/div binary, sqrt unary, fma
 ternary (:data:`OP_ARITY` records the operand count per op; ``pairs``
@@ -40,12 +40,6 @@ from repro.fp.divider import fp_div
 from repro.fp.format import ALL_FORMATS, FPFormat
 from repro.fp.mac import fp_fma
 from repro.fp.multiplier import fp_mul
-from repro.fp.packing import (
-    PACK_WIDTHS,
-    PACKED_OPS,
-    packed_call,
-    supports_packing,
-)
 from repro.fp.reference import (
     ref_add,
     ref_div,
@@ -68,9 +62,6 @@ from repro.verify.testbench import OperandClass, OperandGenerator
 
 #: Operations covered by the campaign: vectorized, scalar, oracle.
 CAMPAIGN_OPS = ("add", "sub", "mul", "div", "sqrt", "fma")
-
-#: Ops with packed sub-lane kernels (the packed campaign's op set).
-PACKED_CAMPAIGN_OPS = tuple(sorted(PACKED_OPS))
 
 _VEC = {
     "add": vec_add,
@@ -318,250 +309,6 @@ class CampaignReport:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.summary()
-
-
-def supported_packings(
-    formats: Sequence[FPFormat] = ALL_FORMATS,
-) -> list[tuple[FPFormat, int]]:
-    """Every supported ``(format, packing width)`` combination.
-
-    Widths are listed widest-first per format (a 4-way-capable format is
-    also checked 2-way — the 2-way datapath is a distinct code path with
-    its own lane dtype and widening rules).
-    """
-    return [
-        (fmt, width)
-        for fmt in formats
-        for width in sorted(PACK_WIDTHS, reverse=True)
-        if supports_packing(fmt, width)
-    ]
-
-
-@dataclass(frozen=True)
-class PackedChunkReport:
-    """Outcome of one packed-vs-unpacked chunk (one engine job)."""
-
-    fmt_name: str
-    op: str
-    mode: str
-    width: int
-    seed: int
-    pairs: int
-    bit_mismatches: int
-    flag_mismatches: int
-    covered_class_pairs: int
-    examples: tuple[DiffExample, ...] = ()
-
-    @property
-    def mismatches(self) -> int:
-        return self.bit_mismatches + self.flag_mismatches
-
-    @property
-    def passed(self) -> bool:
-        return self.mismatches == 0
-
-
-def packed_chunk(
-    fmt: FPFormat,
-    op: str,
-    mode: RoundingMode,
-    seed: int,
-    pairs: int,
-    width: int,
-) -> PackedChunkReport:
-    """Compare one packed sub-lane datapath against the unpacked oracle.
-
-    The unpacked vectorized path is itself proven against the scalar
-    datapaths and the rational oracles by :func:`diff_chunk`, so
-    element-wise bit-and-flag equality here extends the equivalence
-    chain one more link::
-
-        fp.reference == fp.adder/... == fp.vectorized == fp.packing
-
-    Same coverage-directed operand classes as :func:`diff_chunk`, same
-    purity/picklability contract (cacheable engine job).
-    """
-    if op not in PACKED_OPS:
-        raise ValueError(
-            f"unknown packed op {op!r}; known: {sorted(PACKED_OPS)}"
-        )
-    gen = OperandGenerator(fmt, seed)
-    classes = list(OperandClass)
-    n_cls = len(classes)
-    a_words = np.empty(pairs, dtype=np.uint64)
-    b_words = np.empty(pairs, dtype=np.uint64)
-    covered: set[int] = set()
-    grid = n_cls * n_cls
-    for i in range(pairs):
-        pair_idx = i % grid
-        covered.add(pair_idx)
-        a_words[i] = gen.sample(classes[pair_idx % n_cls])
-        b_words[i] = gen.sample(classes[pair_idx // n_cls])
-
-    want_bits, want_flags = _VEC[op](fmt, a_words, b_words, mode, with_flags=True)
-    got_bits, got_flags = packed_call(
-        op, fmt, a_words, b_words, mode, width=width, with_flags=True
-    )
-
-    bit_bad_idx = np.flatnonzero(got_bits != want_bits)
-    flag_bad_idx = np.flatnonzero(
-        (got_bits == want_bits) & (got_flags != want_flags)
-    )
-    examples: list[DiffExample] = []
-    for i in (*bit_bad_idx[:MAX_EXAMPLES], *flag_bad_idx[:MAX_EXAMPLES]):
-        if len(examples) >= MAX_EXAMPLES:
-            break
-        examples.append(
-            DiffExample(
-                op,
-                mode.value,
-                int(a_words[i]),
-                int(b_words[i]),
-                int(got_bits[i]),
-                int(want_bits[i]),
-                int(got_flags[i]),
-                int(want_flags[i]),
-                "unpacked",
-            )
-        )
-
-    return PackedChunkReport(
-        fmt_name=fmt.name,
-        op=op,
-        mode=mode.value,
-        width=width,
-        seed=seed,
-        pairs=pairs,
-        bit_mismatches=int(bit_bad_idx.size),
-        flag_mismatches=int(flag_bad_idx.size),
-        covered_class_pairs=len(covered),
-        examples=tuple(examples),
-    )
-
-
-@dataclass(frozen=True)
-class PackedCampaignReport:
-    """Aggregate of every chunk in a packed-vs-unpacked campaign."""
-
-    chunks: tuple[PackedChunkReport, ...]
-
-    @property
-    def total_pairs(self) -> int:
-        return sum(c.pairs for c in self.chunks)
-
-    @property
-    def total_mismatches(self) -> int:
-        return sum(c.mismatches for c in self.chunks)
-
-    @property
-    def passed(self) -> bool:
-        return self.total_mismatches == 0
-
-    def examples(self) -> list[DiffExample]:
-        out: list[DiffExample] = []
-        for c in self.chunks:
-            out.extend(c.examples)
-        return out
-
-    def summary(self) -> str:
-        lines = ["packed campaign (sub-lane datapaths vs unpacked vectorized)"]
-        per_lane: dict[tuple[str, int], list[PackedChunkReport]] = {}
-        for c in self.chunks:
-            per_lane.setdefault((c.fmt_name, c.width), []).append(c)
-        for (name, width), chunks in sorted(per_lane.items()):
-            pairs = sum(c.pairs for c in chunks)
-            bad = sum(c.mismatches for c in chunks)
-            ops = sorted({c.op for c in chunks})
-            modes = sorted({c.mode for c in chunks})
-            status = "PASS" if bad == 0 else f"FAIL ({bad} mismatches)"
-            lines.append(
-                f"  {name} x{width}: {pairs} pairs over {'/'.join(ops)} "
-                f"[{','.join(modes)}] -> {status}"
-            )
-        lines.append(
-            f"  total: {self.total_pairs} pairs, "
-            f"{self.total_mismatches} mismatches"
-        )
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.summary()
-
-
-def packed_campaign_jobs(
-    formats: Sequence[FPFormat] = ALL_FORMATS,
-    ops: Iterable[str] = PACKED_CAMPAIGN_OPS,
-    modes: Iterable[RoundingMode] = tuple(RoundingMode),
-    pairs_per_lane: int = 100_000,
-    chunk_pairs: int = 50_000,
-    seed: int = 0,
-) -> list[Job]:
-    """Slice a packed campaign into engine jobs.
-
-    One lane is one supported ``(format, width)`` pair; formats with no
-    supported packing contribute no jobs.  ``pairs_per_lane`` spreads
-    evenly over the (op, mode) grid of each lane.
-    """
-    ops = tuple(ops)
-    modes = tuple(modes)
-    if not ops or not modes:
-        raise ValueError("campaign needs at least one op and one mode")
-    if pairs_per_lane < 1 or chunk_pairs < 1:
-        raise ValueError("pairs_per_lane and chunk_pairs must be >= 1")
-    bad = [op for op in ops if op not in PACKED_OPS]
-    if bad:
-        raise ValueError(
-            f"no packed kernel for: {', '.join(bad)} "
-            f"(packed ops: {', '.join(sorted(PACKED_OPS))})"
-        )
-    per_cell = -(-pairs_per_lane // (len(ops) * len(modes)))  # ceil
-    jobs: list[Job] = []
-    for fmt, width in supported_packings(formats):
-        chunk_index = 0
-        for op in ops:
-            for mode in modes:
-                remaining = per_cell
-                while remaining > 0:
-                    count = min(chunk_pairs, remaining)
-                    remaining -= count
-                    jobs.append(
-                        Job.create(
-                            f"verify.packed/{fmt.name}/x{width}/{op}"
-                            f"/{mode.value}/{chunk_index}",
-                            packed_chunk,
-                            fmt=fmt,
-                            op=op,
-                            mode=mode,
-                            seed=seed + 0x9E3779B1 * chunk_index,
-                            pairs=count,
-                            width=width,
-                        )
-                    )
-                    chunk_index += 1
-    return jobs
-
-
-def run_packed_campaign(
-    formats: Sequence[FPFormat] = ALL_FORMATS,
-    ops: Iterable[str] = PACKED_CAMPAIGN_OPS,
-    modes: Iterable[RoundingMode] = tuple(RoundingMode),
-    pairs_per_lane: int = 100_000,
-    chunk_pairs: int = 50_000,
-    seed: int = 0,
-    engine: Optional[Engine] = None,
-) -> PackedCampaignReport:
-    """Run a packed-vs-unpacked differential campaign through the engine."""
-    eng = engine if engine is not None else default_engine()
-    jobs = packed_campaign_jobs(
-        formats=formats,
-        ops=ops,
-        modes=modes,
-        pairs_per_lane=pairs_per_lane,
-        chunk_pairs=chunk_pairs,
-        seed=seed,
-    )
-    chunks = eng.run(jobs)
-    return PackedCampaignReport(chunks=tuple(chunks))
 
 
 def campaign_jobs(

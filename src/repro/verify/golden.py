@@ -47,7 +47,7 @@ SAMPLES_PER_PAIR = 2
 #: Operations covered by the paper-format corpora.
 GOLDEN_OPS = ("add", "mul", "div", "sqrt", "fma")
 #: Operations covered by the small-format (fp16/bf16) corpora — the ops
-#: with packed sub-lane kernels, so every corpus also replays packed.
+#: that run on narrow lane dtypes, so every corpus replays a uint16 lane.
 SMALL_GOLDEN_OPS = ("add", "sub", "mul")
 
 _ORACLE = {

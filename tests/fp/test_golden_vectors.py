@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from repro.fp.adder import fp_add, fp_sub
+from repro.fp import vectorized
 from repro.fp.divider import fp_div
+from repro.fp.format import BF16, FP16, FP32, FP48, FP64
 from repro.fp.mac import fp_fma
 from repro.fp.multiplier import fp_mul
-from repro.fp.packing import PACKED_OPS, packed_call, packing_width
 from repro.fp.rounding import RoundingMode
 from repro.fp.sqrt import fp_sqrt
 from repro.fp.vectorized import (
+    lane_dtype,
     vec_add,
     vec_div,
     vec_fma,
@@ -51,6 +53,18 @@ VECTORIZED = {
 
 CORPUS_FILES = sorted(VECTOR_DIR.glob("*.json"))
 
+FORMATS_BY_NAME = {f.name: f for f in (FP16, BF16, FP32, FP48, FP64)}
+LANES = (np.uint16, np.uint32, np.uint64)
+
+
+def _native_lane(path):
+    fmt_name, op = path.stem.split("_")
+    return lane_dtype(op, FORMATS_BY_NAME[fmt_name])
+
+
+#: Corpora whose (op, format) runs on a lane narrower than uint64.
+NARROW_LANE_CORPORA = [p for p in CORPUS_FILES if _native_lane(p) != "uint64"]
+
 
 def test_corpus_is_checked_in():
     names = {p.name for p in CORPUS_FILES}
@@ -78,6 +92,8 @@ def test_scalar_datapaths_match_golden(path):
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
 def test_vectorized_datapaths_match_golden(path):
+    """Replays on each format's own lane dtype (uint16 for the fp16/bf16
+    corpora, uint32 for fp32 add/mul, uint64 otherwise)."""
     doc = load_corpus(path)
     fmt, op = doc["fmt"], doc["op"]
     vec = VECTORIZED[op]
@@ -93,31 +109,31 @@ def test_vectorized_datapaths_match_golden(path):
             assert int(flags[i]) == want_flags, (path.name, case, mode.value)
 
 
-@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
-def test_packed_datapaths_match_golden(path):
-    """Corpora whose (op, format) qualify replay through every supported
-    packed sub-lane datapath too — same bits, same flags."""
+@pytest.mark.parametrize("path", NARROW_LANE_CORPORA, ids=lambda p: p.stem)
+def test_every_lane_matches_golden(path, monkeypatch):
+    """Narrow-lane corpora replay on their own lane and on every wider
+    one, with the lane selection substituted as the lanes bench does for
+    its uint64 baseline — same bits, same flags."""
     doc = load_corpus(path)
     fmt, op = doc["fmt"], doc["op"]
-    if op not in PACKED_OPS or packing_width(fmt) == 1:
-        pytest.skip(f"{op}/{fmt.name} has no packed datapath")
+    vec = VECTORIZED[op]
     columns = [
         np.array([c["operands"][j] for c in doc["cases"]], dtype=np.uint64)
         for j in range(doc["arity"])
     ]
-    widths = [w for w in (4, 2) if w <= packing_width(fmt)]
-    for width in widths:
+    native = LANES.index(getattr(np, _native_lane(path)))
+    for lane in LANES[native:]:
+        monkeypatch.setattr(vectorized, "_lane_dtype", lambda f, lane=lane: lane)
+        assert lane_dtype(op, fmt) == np.dtype(lane).name
         for mode in RoundingMode:
-            bits, flags = packed_call(
-                op, fmt, *columns, mode, width=width, with_flags=True
-            )
+            bits, flags = vec(fmt, *columns, mode, with_flags=True)
             for i, case in enumerate(doc["cases"]):
                 want_bits, want_flags = case[mode.value]
                 assert int(bits[i]) == want_bits, (
-                    path.name, width, case, mode.value,
+                    path.name, lane.__name__, case, mode.value,
                 )
                 assert int(flags[i]) == want_flags, (
-                    path.name, width, case, mode.value,
+                    path.name, lane.__name__, case, mode.value,
                 )
 
 

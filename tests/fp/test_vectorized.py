@@ -122,6 +122,33 @@ class TestShapeAndValidation:
         with pytest.raises(ValueError, match="outside"):
             vec_add(FP32, bad, bad)
 
+    @pytest.mark.parametrize("fmt", [FP16, FP32], ids=lambda f: f.name)
+    def test_out_of_range_words_rejected_before_narrowing(self, fmt):
+        # word_mask + 1 would wrap to +0 in the narrow lane dtype.
+        bad = np.array([fmt.word_mask + 1], dtype=np.uint64)
+        ok = np.zeros(1, dtype=np.uint64)
+        for vec, _ in OPS:
+            with pytest.raises(ValueError, match="b contains words outside"):
+                vec(fmt, ok, bad)
+
+    def test_signed_words_are_checked_as_uint64(self):
+        one = np.array([FP16.one()], dtype=np.int64)
+        assert int(vec_mul(FP16, one, one)[0]) == FP16.one()
+        with pytest.raises(ValueError, match="a contains words outside"):
+            vec_add(FP16, np.array([-1], dtype=np.int64), one)
+
+    def test_any_unsigned_dtype_in_uint64_out(self, rng):
+        a = random_words(FP16, 64, rng)
+        b = random_words(FP16, 64, rng)
+        want_bits, want_flags = vec_add(FP16, a, b, with_flags=True)
+        for dtype in (np.uint16, np.uint32):
+            bits, flags = vec_add(
+                FP16, a.astype(dtype), b.astype(dtype), with_flags=True
+            )
+            assert bits.dtype == np.uint64 and flags.dtype == np.uint8
+            assert np.array_equal(bits, want_bits)
+            assert np.array_equal(flags, want_flags)
+
     def test_empty_arrays(self):
         empty = np.array([], dtype=np.uint64)
         assert vec_add(FP32, empty, empty).size == 0

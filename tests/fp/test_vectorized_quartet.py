@@ -16,9 +16,10 @@ from hypothesis.extra.numpy import arrays
 from repro.fp.divider import fp_div
 from repro.fp.format import FP32, FPFormat
 from repro.fp.mac import fp_fma
+from repro.fp.multiplier import fp_mul
 from repro.fp.rounding import RoundingMode
 from repro.fp.sqrt import fp_sqrt
-from repro.fp.vectorized import vec_div, vec_fma, vec_sqrt
+from repro.fp.vectorized import vec_div, vec_fma, vec_mul, vec_sqrt
 
 FP16 = FPFormat(exp_bits=5, man_bits=10, name="fp16")
 
@@ -191,6 +192,24 @@ class TestFlagSidebandIsolation:
     def test_sqrt_lane_isolation(self, rng):
         for word in (FP32.one(1), FP32.inf(0), FP32.nan(), FP32.zero(1)):
             self.splice_check(vec_sqrt, (self.benign(17, rng),), (word,))
+
+    def test_uint16_lane_isolation(self):
+        # [overflow, NaN, exact, underflow] side by side on uint16 lanes:
+        # each element carries exactly its own scalar flags.
+        a = np.array(
+            [FP16.max_finite(), FP16.nan(), FP16.one(), FP16.min_normal()],
+            dtype=np.uint64,
+        )
+        b = np.array(
+            [FP16.max_finite(), FP16.one(), FP16.one(), FP16.min_normal()],
+            dtype=np.uint64,
+        )
+        assert_matches_scalar(FP16, RoundingMode.NEAREST_EVEN, fp_mul, vec_mul, a, b)
+        _, flags = vec_mul(FP16, a, b, with_flags=True)
+        assert flags[0] & 16  # overflow
+        assert flags[1] & 2  # invalid
+        assert flags[2] == 0  # exact
+        assert flags[3] & 8  # underflow
 
     def test_fma_lane_isolation(self, rng):
         cols = tuple(self.benign(17, rng) for _ in range(3))

@@ -1,16 +1,19 @@
 """Wide-format (fp48/fp64) vectorized datapaths: bit-and-flag equivalence
-with the scalar cores, limb-boundary formats, and the shared format guard."""
+with the scalar cores, limb- and lane-dtype-boundary formats, and the
+shared format guard."""
 
 import numpy as np
 import pytest
 
+from repro.fp import vectorized
 from repro.fp.adder import fp_add, fp_sub
-from repro.fp.format import FP32, FP48, FP64, FPFormat
+from repro.fp.format import BF16, FP16, FP32, FP48, FP64, FPFormat
 from repro.fp.multiplier import fp_mul
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import (
     MAX_MAN_BITS,
     check_vectorized_format,
+    lane_dtype,
     supports_vectorized,
     vec_add,
     vec_mul,
@@ -20,15 +23,29 @@ from repro.verify.testbench import OperandClass, OperandGenerator
 
 WIDE_FORMATS = (FP48, FP64)
 
+#: Formats on each side of every lane-dtype switch, with the lane each
+#: one must select: the guard-band bound (man_bits <= slot - 5) and the
+#: total-width bound of the uint16 and uint32 lanes, plus the narrowest
+#: supported format.
+LANE_BOUNDARY_FORMATS = {
+    FPFormat(exp_bits=2, man_bits=3, name="nano"): "uint16",
+    FPFormat(exp_bits=4, man_bits=11, name="e4m11"): "uint16",
+    FPFormat(exp_bits=3, man_bits=12, name="e3m12"): "uint32",
+    FPFormat(exp_bits=5, man_bits=11, name="w17"): "uint32",
+    FPFormat(exp_bits=4, man_bits=27, name="e4m27"): "uint32",
+    FPFormat(exp_bits=3, man_bits=28, name="e3m28"): "uint64",
+    FPFormat(exp_bits=9, man_bits=23, name="w33"): "uint64",
+}
+
 #: Formats straddling the one-limb/two-limb product boundary
-#: (2 * sig_bits crosses 64 between man_bits 31 and 32) plus the maximum
-#: supported mantissa.
+#: (2 * sig_bits crosses 64 between man_bits 31 and 32), the maximum
+#: supported mantissa, and the lane-dtype boundaries.
 BOUNDARY_FORMATS = (
     FPFormat(exp_bits=8, man_bits=30, name="b30"),
     FPFormat(exp_bits=8, man_bits=31, name="b31"),
     FPFormat(exp_bits=8, man_bits=32, name="b32"),
     FPFormat(exp_bits=4, man_bits=59, name="b59"),
-)
+) + tuple(LANE_BOUNDARY_FORMATS)
 
 OPS = [
     (vec_add, fp_add),
@@ -76,6 +93,35 @@ def assert_bits_and_flags_match(fmt, a, b, mode):
             )
 
 
+def special_pairs(fmt):
+    """Both operand arrays of the full grid of special-value pairs."""
+    specials = np.array(
+        [
+            fmt.zero(0), fmt.zero(1),
+            fmt.one(0), fmt.one(1),
+            fmt.min_normal(), fmt.min_normal(1),
+            fmt.max_finite(), fmt.max_finite(1),
+            fmt.inf(0), fmt.inf(1),
+            fmt.nan(),
+            fmt.pack(0, 0, fmt.man_mask),  # denormal pattern
+            fmt.pack(1, 0, 1),
+            fmt.pack(0, fmt.bias, fmt.man_mask),  # tie-prone
+            fmt.pack(1, fmt.bias + 1, 1),
+        ],
+        dtype=np.uint64,
+    )
+    a, b = np.meshgrid(specials, specials)
+    return a.ravel(), b.ravel()
+
+
+def pin_lane(monkeypatch, fmt, lane):
+    """Run add/sub/mul for every format on ``lane``, as the lanes bench
+    does for its uint64 baseline, by substituting the one lane-selection
+    function."""
+    monkeypatch.setattr(vectorized, "_lane_dtype", lambda f: lane)
+    assert lane_dtype("mul", fmt) == np.dtype(lane).name
+
+
 class TestWideEquivalence:
     @pytest.mark.parametrize("fmt", WIDE_FORMATS, ids=lambda f: f.name)
     @pytest.mark.parametrize("mode", list(RoundingMode))
@@ -90,25 +136,12 @@ class TestWideEquivalence:
         a, b = class_directed_words(fmt, per_pair=3, seed=0x51DE)
         assert_bits_and_flags_match(fmt, a, b, mode)
 
-    @pytest.mark.parametrize("fmt", WIDE_FORMATS, ids=lambda f: f.name)
+    @pytest.mark.parametrize(
+        "fmt", WIDE_FORMATS + (FP16, BF16, FP32), ids=lambda f: f.name
+    )
     def test_all_special_pairs(self, fmt):
-        specials = np.array(
-            [
-                fmt.zero(0), fmt.zero(1),
-                fmt.one(0), fmt.one(1),
-                fmt.min_normal(), fmt.min_normal(1),
-                fmt.max_finite(), fmt.max_finite(1),
-                fmt.inf(0), fmt.inf(1),
-                fmt.nan(),
-                fmt.pack(0, 0, fmt.man_mask),  # denormal pattern
-                fmt.pack(1, 0, 1),
-                fmt.pack(0, fmt.bias, fmt.man_mask),  # tie-prone
-                fmt.pack(1, fmt.bias + 1, 1),
-            ],
-            dtype=np.uint64,
-        )
-        a, b = np.meshgrid(specials, specials)
-        assert_bits_and_flags_match(fmt, a.ravel(), b.ravel(), RoundingMode.NEAREST_EVEN)
+        a, b = special_pairs(fmt)
+        assert_bits_and_flags_match(fmt, a, b, RoundingMode.NEAREST_EVEN)
 
 
 class TestLimbBoundaryFormats:
@@ -122,7 +155,49 @@ class TestLimbBoundaryFormats:
     @pytest.mark.parametrize("fmt", BOUNDARY_FORMATS, ids=lambda f: f.name)
     def test_boundary_class_directed(self, fmt):
         a, b = class_directed_words(fmt, per_pair=2, seed=7)
+        for mode in RoundingMode:
+            assert_bits_and_flags_match(fmt, a, b, mode)
+
+    @pytest.mark.parametrize(
+        "fmt,dtype", LANE_BOUNDARY_FORMATS.items(), ids=lambda p: str(p)
+    )
+    def test_boundary_formats_select_their_lane(self, fmt, dtype):
+        for op in ("add", "sub", "mul"):
+            assert lane_dtype(op, fmt) == dtype
+        for op in ("div", "sqrt", "fma"):
+            assert lane_dtype(op, fmt) == "uint64"
+
+
+class TestPinnedLanes:
+    """A narrow format gives the same bits and flags on every lane that
+    holds it — its own lane and each wider one."""
+
+    @pytest.mark.parametrize(
+        "fmt,lane",
+        [
+            (fmt, lane)
+            for fmt in (FP16, BF16, FP32)
+            for lane in (np.uint16, np.uint32, np.uint64)
+            if np.dtype(lane).itemsize >= np.dtype(lane_dtype("mul", fmt)).itemsize
+        ],
+        ids=lambda p: p.name if isinstance(p, FPFormat) else np.dtype(p).name,
+    )
+    def test_all_special_pairs(self, fmt, lane, monkeypatch):
+        pin_lane(monkeypatch, fmt, lane)
+        a, b = special_pairs(fmt)
         assert_bits_and_flags_match(fmt, a, b, RoundingMode.NEAREST_EVEN)
+
+    @pytest.mark.parametrize(
+        "lane", [np.uint16, np.uint32, np.uint64], ids=lambda l: np.dtype(l).name
+    )
+    def test_narrowest_supported_format(self, lane, monkeypatch, rng):
+        # The vectorized floor (man_bits = 3) runs on every lane.
+        fmt = next(f for f in LANE_BOUNDARY_FORMATS if f.name == "nano")
+        pin_lane(monkeypatch, fmt, lane)
+        a = random_words(fmt, 512, rng)
+        b = random_words(fmt, 512, rng)
+        for mode in RoundingMode:
+            assert_bits_and_flags_match(fmt, a, b, mode)
 
 
 class TestNarrowFlagSideband:

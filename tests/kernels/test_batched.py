@@ -9,7 +9,7 @@ every test here runs both and compares fields, never golden values.
 import numpy as np
 import pytest
 
-from repro.fp.format import FP32, FP48, FP64
+from repro.fp.format import BF16, FP16, FP32, FP48, FP64
 from repro.fp.rounding import RoundingMode
 from repro.kernels.batched import (
     MATMUL_BACKENDS,
@@ -29,7 +29,7 @@ from tests.kernels.test_matmul import rand_matrix
 #: pipes), n == PL, shallow pipes, and an even split.
 CORNERS = [(1, 2, 3), (2, 1, 1), (4, 7, 10), (6, 3, 5), (8, 4, 4), (9, 2, 2)]
 
-FORMATS = (FP32, FP48, FP64)
+FORMATS = (FP32, FP48, FP64, FP16, BF16)
 
 
 def run_both(fmt, n, lm, la, rng, mode=RoundingMode.NEAREST_EVEN,
@@ -305,40 +305,45 @@ class TestWavefrontTracing:
     """Traced runs record one kernel.wavefront span per round."""
 
     def test_vectorized_run_opens_one_span_per_wavefront(self, rng):
-        # FP64 words don't pack into 64-bit limbs, so this exercises
-        # the unpacked (vectorized) wavefront loop.
         from repro.obs.trace import Trace
 
         n = 6
         a, b = rand_matrix(FP64, n, rng), rand_matrix(FP64, n, rng)
         array = BatchedMatmulArray(FP64, n, 3, 5)
-        assert array.packing_width == 1
         trace = Trace("kernel-test")
         run = array.run(a, b, trace=trace)
         spans = [s for s in trace.spans if s.name == "kernel.wavefront"]
         assert len(spans) == n
         assert [s.tags["k"] for s in spans] == list(range(n))
-        assert all(s.tags["path"] == "vectorized" for s in spans)
+        assert all(s.tags["dtype"] == "uint64" for s in spans)
         assert all(s.t1 >= s.t0 for s in spans)
         # Tracing must not perturb the arithmetic.
         untraced = BatchedMatmulArray(FP64, n, 3, 5).run(a, b)
         assert run.c == untraced.c
 
-    def test_packed_run_tags_width(self, rng):
-        from repro.fp.format import FP16
+    @pytest.mark.parametrize(
+        "fmt_name,backend,dtype",
+        [
+            ("fp16", "batched", "uint16"),
+            ("bf16", "batched", "uint16"),
+            ("fp32", "batched", "uint32"),
+            ("fp16", "fma", "uint64"),
+        ],
+    )
+    def test_wavefront_spans_tag_the_lane_dtype(self, fmt_name, backend, dtype, rng):
+        from repro.fp.format import ALL_FORMATS
         from repro.obs.trace import Trace
 
+        fmt = {f.name: f for f in ALL_FORMATS}[fmt_name]
         n = 5
-        a, b = rand_matrix(FP16, n, rng), rand_matrix(FP16, n, rng)
-        trace = Trace("kernel-test-packed")
-        array = BatchedMatmulArray(FP16, n, 3, 5)
-        assert array.packing_width > 1, "fp16 should pack"
+        a, b = rand_matrix(fmt, n, rng), rand_matrix(fmt, n, rng)
+        trace = Trace("kernel-test-lanes")
+        array = make_matmul_array(fmt, n, 3, 5, backend=backend)
         run = array.run(a, b, trace=trace)
         spans = [s for s in trace.spans if s.name == "kernel.wavefront"]
         assert len(spans) == n
-        assert all(s.tags["path"] == "packed" for s in spans)
-        assert all(s.tags["width"] == array.packing_width for s in spans)
-        untraced = BatchedMatmulArray(FP16, n, 3, 5).run(a, b)
+        assert all(s.tags["dtype"] == dtype for s in spans)
+        untraced = make_matmul_array(fmt, n, 3, 5, backend=backend).run(a, b)
         assert run.c == untraced.c
 
     def test_untraced_run_records_nothing(self, rng):

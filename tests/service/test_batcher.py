@@ -10,8 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.fp.format import FP32, FP64
+from repro.fp.format import BF16, FP16, FP32, FP64
 from repro.fp.rounding import RoundingMode
+from repro.fp.vectorized import lane_dtype
 from repro.service.batcher import (
     OP_ARITY,
     OPS,
@@ -211,6 +212,46 @@ class TestBatchingPolicy:
             assert all(len(t) == 3 for t in b[3])
         for sub, got in zip(subs, results):
             assert tuple(got) == scalar(*sub)
+
+    @pytest.mark.parametrize("fmt", [FP16, BF16, FP32], ids=lambda f: f.name)
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("mode", list(RoundingMode))
+    def test_narrow_lane_batch_scatters_bit_exact(self, fmt, op, mode):
+        # Narrow-lane formats: random words plus the flag-raising rails,
+        # every request's (bits, flags) equal to its own scalar result.
+        rng = random.Random(0xBEEF)
+        requests = [
+            (rng.randrange(fmt.word_mask + 1), rng.randrange(fmt.word_mask + 1))
+            for _ in range(67)
+        ]
+        requests += [
+            (fmt.max_finite(), fmt.max_finite()),  # overflow
+            (fmt.min_normal(), fmt.min_normal()),  # mul underflow
+            (fmt.nan(), fmt.one()),
+            (fmt.inf(), fmt.zero()),
+            (fmt.zero(1), fmt.zero()),
+        ]
+        results = execute_batch(op, fmt, mode, requests)
+        assert len(results) == len(requests)
+        for operands, got in zip(requests, results):
+            assert tuple(got) == scalar(op, fmt, mode, *operands)
+
+    def test_uint64_lanes_match_scalar(self):
+        # div/sqrt/fma of the small formats and every fp64 op stay on
+        # uint64 lanes; their batches scatter bit-exact all the same.
+        rng = random.Random(7)
+        for op, fmt in (("div", FP16), ("sqrt", FP16), ("fma", BF16),
+                        ("mul", FP64)):
+            assert lane_dtype(op, fmt) == "uint64"
+            arity = OPS[op][2]
+            requests = [
+                tuple(rng.randrange(fmt.word_mask + 1) for _ in range(arity))
+                for _ in range(9)
+            ]
+            results = execute_batch(op, fmt, RNE, requests)
+            assert len(results) == len(requests)
+            for operands, got in zip(requests, results):
+                assert tuple(got) == scalar(op, fmt, RNE, *operands)
 
     def test_submit_rejects_wrong_arity(self):
         async def _run():

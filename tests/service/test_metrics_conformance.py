@@ -160,3 +160,5 @@ def test_expected_families_are_present(exposition):
         "repro_uptime_seconds",
     ):
         assert family in types, f"{family} missing from exposition"
+    # Lane dtypes are a span tag, not a metric family.
+    assert not [f for f in types if "packing" in f or "packed" in f], types

@@ -11,6 +11,7 @@ flag-identical to the pinned oracle outputs.
 import http.client
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -22,11 +23,14 @@ import pytest
 
 from repro import __version__
 from repro.fp.adder import fp_sub
-from repro.fp.format import FP32, FP48, FP64
+from repro.fp.format import BF16, FP16, FP32, FP48, FP64
+from repro.fp.rounding import RoundingMode
 from repro.service import ServiceConfig, ServiceThread, run_load_blocking
+from repro.service.batcher import OPS
 from repro.verify.golden import corpus_filename, load_corpus
 
 VECTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "vectors")
+RNE = RoundingMode.NEAREST_EVEN
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +106,23 @@ class TestOperational:
         assert "repro_batch_size_count" in text
         assert "repro_request_latency_seconds_bucket" in text
 
+    def test_batch_stats_counts_each_lane(self, server):
+        client = Client(server)
+        try:
+            client.post_op("mul", "fp16", "rne", 0x3E00, 0x4000)
+        finally:
+            client.close()
+        status, data, _ = request(server, "GET", "/v1/batch-stats")
+        assert status == 200
+        doc = json.loads(data)
+        lanes = {(l["op"], l["format"], l["mode"]): l for l in doc["lanes"]}
+        assert lanes[("mul", "fp16", "rne")]["batches"] >= 1
+        assert doc["batches"] >= 1
+
+    def test_batch_stats_is_get_only(self, server):
+        status, _, _ = request(server, "POST", "/v1/batch-stats", {})
+        assert status == 405
+
     def test_version_header_consistency_with_cli(self, server):
         # Satellite 1: /healthz and `repro --version` report one string.
         from repro.cli import main as cli_main
@@ -158,6 +179,29 @@ class TestGoldenReplay:
     @pytest.mark.parametrize("op", ["add", "mul", "div", "sqrt", "fma"])
     def test_wide_format_slices(self, server, fmt, op):
         self.replay(server, fmt, op, stride=7)
+
+    @pytest.mark.parametrize("fmt", [FP16, BF16], ids=["fp16", "bf16"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_small_format_corpora(self, server, fmt, op):
+        # Served by name on the uint16 lanes.
+        self.replay(server, fmt, op, stride=3)
+
+    def test_small_format_random_burst_matches_scalar(self, server):
+        # Random words, not just corpus rows, on the uint16 lanes.
+        rng = random.Random(0x51AB)
+        client = Client(server)
+        try:
+            for fmt in (FP16, BF16):
+                for op in ("add", "sub", "mul"):
+                    for _ in range(8):
+                        a = rng.randrange(fmt.word_mask + 1)
+                        b = rng.randrange(fmt.word_mask + 1)
+                        want_bits, want_flags = OPS[op][0](fmt, a, b, RNE)
+                        assert client.post_op(op, fmt.name, "rne", a, b) == (
+                            want_bits, want_flags.to_bits(),
+                        ), (op, fmt.name, hex(a), hex(b))
+        finally:
+            client.close()
 
     def test_sub_matches_scalar_datapath(self, server):
         # No golden sub corpus: reuse the add corpus operands and

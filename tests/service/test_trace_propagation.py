@@ -106,14 +106,13 @@ class TestSpanTree:
         )
         assert dispatch["tags"]["lane"] == "mul/fp32/rne"
         assert dispatch["tags"]["batch_size"] >= 1
-        assert dispatch["tags"]["packing_width"] == 2  # fp32 packs x2
-        assert dispatch["tags"]["path"] == "packed"
+        assert dispatch["tags"]["dtype"] == "uint32"
         admission = next(
             s for s in doc["spans"] if s["name"] == "admission.wait"
         )
         assert admission["tags"]["verdict"] == "ok"
 
-    def test_packed_fp16_lane_is_tagged_with_width_4(self, server):
+    def test_fp16_lane_is_tagged_with_uint16(self, server):
         tid = "lane-check.fp16"
         status, _, _ = post_mul(server, fmt="fp16", trace_id=tid,
                                 a="0x3c00", b="0x4000")
@@ -124,8 +123,7 @@ class TestSpanTree:
             if s["name"] == "batch.dispatch"
         )
         assert dispatch["tags"]["lane"] == "mul/fp16/rne"
-        assert dispatch["tags"]["packing_width"] == 4
-        assert dispatch["tags"]["path"] == "packed"
+        assert dispatch["tags"]["dtype"] == "uint16"
 
     def test_sweep_request_records_engine_spans(self, server):
         tid = "sweep-check.1"

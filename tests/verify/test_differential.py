@@ -8,8 +8,6 @@ import pytest
 
 from repro.engine import Engine, ResultCache
 from repro.fp.format import (
-    BF16,
-    FP16,
     FP32,
     FP48,
     FP64,
@@ -20,19 +18,12 @@ from repro.fp.rounding import RoundingMode
 from repro.verify.differential import (
     CAMPAIGN_OPS,
     OP_ARITY,
-    PACKED_CAMPAIGN_OPS,
     CampaignReport,
     ChunkReport,
     DiffExample,
-    PackedCampaignReport,
-    PackedChunkReport,
     campaign_jobs,
     diff_chunk,
-    packed_campaign_jobs,
-    packed_chunk,
     run_campaign,
-    run_packed_campaign,
-    supported_packings,
 )
 
 
@@ -185,104 +176,3 @@ class TestSmallFormatCampaign:
         names = [j.name for j in campaign_jobs(pairs_per_format=12)]
         for fmt in SMALL_FORMATS + PAPER_FORMATS:
             assert any(f"/{fmt.name}/" in n for n in names)
-
-
-class TestPackedChunk:
-    @pytest.mark.parametrize(
-        "fmt,width",
-        supported_packings(),
-        ids=lambda v: v.name if hasattr(v, "name") else f"x{v}",
-    )
-    @pytest.mark.parametrize("op", PACKED_CAMPAIGN_OPS)
-    @pytest.mark.parametrize("mode", list(RoundingMode))
-    def test_chunk_passes(self, fmt, width, op, mode):
-        report = packed_chunk(fmt, op, mode, seed=7, pairs=400, width=width)
-        assert report.passed, report
-        assert report.pairs == 400
-        assert report.width == width
-        # 400 pairs cycle the 169-cell binary class grid: full coverage.
-        assert report.covered_class_pairs == 169
-
-    def test_supported_packings_matrix(self):
-        combos = {(f.name, w) for f, w in supported_packings()}
-        assert combos == {
-            ("fp16", 4), ("fp16", 2),
-            ("bf16", 4), ("bf16", 2),
-            ("fp32", 2),
-        }
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="unknown packed op"):
-            packed_chunk(
-                FP16, "div", RoundingMode.NEAREST_EVEN, seed=0, pairs=8,
-                width=4,
-            )
-
-    def test_chunk_is_deterministic_and_picklable(self):
-        import pickle
-
-        r1 = packed_chunk(
-            BF16, "mul", RoundingMode.TRUNCATE, seed=5, pairs=338, width=4
-        )
-        r2 = packed_chunk(
-            BF16, "mul", RoundingMode.TRUNCATE, seed=5, pairs=338, width=4
-        )
-        assert r1 == r2
-        assert pickle.loads(pickle.dumps(r1)) == r1
-
-    def test_detects_divergence(self, monkeypatch):
-        import repro.verify.differential as diff
-
-        real_vec = diff._VEC["add"]
-
-        def corrupted(fmt, a, b, mode, with_flags=False):
-            bits, flags = real_vec(fmt, a, b, mode, with_flags=True)
-            return bits ^ 1, flags  # unpacked side lies by one LSB
-
-        monkeypatch.setitem(diff._VEC, "add", corrupted)
-        report = packed_chunk(
-            FP16, "add", RoundingMode.NEAREST_EVEN, seed=0, pairs=100, width=4
-        )
-        assert not report.passed
-        assert report.bit_mismatches == 100
-        assert report.examples
-        assert report.examples[0].against == "unpacked"
-
-
-class TestPackedCampaign:
-    def test_jobs_cover_every_supported_lane(self):
-        jobs = packed_campaign_jobs(pairs_per_lane=60, chunk_pairs=10)
-        names = [j.name for j in jobs]
-        for fmt, width in supported_packings():
-            lane = [n for n in names if f"/{fmt.name}/x{width}/" in n]
-            assert lane, (fmt.name, width, names)
-        for op in PACKED_CAMPAIGN_OPS:
-            assert any(f"/{op}/" in n for n in names)
-        for mode in RoundingMode:
-            assert any(f"/{mode.value}/" in n for n in names)
-        # fp64 supports no packing and must contribute no jobs.
-        assert not any("/fp64/" in n for n in names)
-
-    def test_campaign_passes_and_caches(self, tmp_path):
-        kwargs = dict(
-            formats=(FP16, FP32), pairs_per_lane=600, chunk_pairs=200
-        )
-        report = run_packed_campaign(engine=Engine(), **kwargs)
-        assert isinstance(report, PackedCampaignReport)
-        assert report.passed, report.summary()
-        assert report.total_pairs >= 3 * 600  # fp16 x4, fp16 x2, fp32 x2
-        assert "PASS" in report.summary()
-
-        cache = ResultCache(tmp_path / "cache")
-        cold = run_packed_campaign(engine=Engine(cache=cache), **kwargs)
-        assert cold == report
-        warm_engine = Engine(cache=cache)
-        warm = run_packed_campaign(engine=warm_engine, **kwargs)
-        assert warm == report
-        assert warm_engine.metrics.hit_rate == 1.0
-
-    def test_non_packed_ops_rejected(self):
-        with pytest.raises(ValueError, match="no packed kernel"):
-            packed_campaign_jobs(ops=("add", "sqrt"))
-        with pytest.raises(ValueError):
-            packed_campaign_jobs(pairs_per_lane=0)
