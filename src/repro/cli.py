@@ -355,10 +355,8 @@ def explore_command(argv: Sequence[str]) -> int:
     records = []
     for kind in kinds:
         for fmt in formats:
-            before = len(engine.metrics.records)
             space = explore(fmt, kind, engine=engine)
-            new = engine.metrics.records[before:]
-            source = new[-1].status if new else "memo"
+            source = engine.metrics.last_status
             for report in space.reports:
                 record = unit_record(kind, fmt, report)
                 records.append(record)

@@ -51,7 +51,6 @@ class Engine:
         workers: int = 1,
         timeout_s: float | None = None,
         retries: int = 1,
-        memoize: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -59,7 +58,6 @@ class Engine:
         self.workers = workers
         self.timeout_s = timeout_s
         self.retries = retries
-        self.memoize = memoize
         self.metrics = EngineMetrics()
         self._memo: Dict[str, Any] = {}
         self._active_trace = None
@@ -112,7 +110,7 @@ class Engine:
 
         for index, job in enumerate(jobs):
             t_lookup = time.perf_counter()
-            if self.memoize and job.key in self._memo:
+            if job.key in self._memo:
                 results[index] = self._memo[job.key]
                 self.metrics.record(
                     JobRecord(job.name, job.key, STATUS_MEMO, trace_id=trace_id)
@@ -126,8 +124,7 @@ class Engine:
                 hit, cached = self.cache.get(job)
                 if hit:
                     results[index] = cached
-                    if self.memoize:
-                        self._memo[job.key] = cached
+                    self._memo[job.key] = cached
                     self.metrics.record(
                         JobRecord(job.name, job.key, STATUS_HIT, trace_id=trace_id)
                     )
@@ -178,8 +175,7 @@ class Engine:
                     )
                     continue
                 results[outcome.index] = outcome.result
-                if self.memoize:
-                    self._memo[job.key] = outcome.result
+                self._memo[job.key] = outcome.result
                 if self.cache is not None:
                     self.cache.put(job, outcome.result, wall_s=outcome.wall_s)
                 self.metrics.record(

@@ -3,9 +3,10 @@
 Every job the engine touches leaves a :class:`JobRecord` — how it was
 satisfied (disk hit, in-process memo, computed), on which backend, how
 long it took, how many retries it needed.  :class:`EngineMetrics`
-aggregates the records into the counters the acceptance criteria talk
-about (cache hit rate, total/per-job wall time) and renders the summary
-printed to stderr after ``repro all``.
+counts each outcome once, in the ``repro_engine_jobs_total{status}``
+:class:`~repro.obs.metrics.Counter` that the service's ``/metrics``
+serves as-is, and renders the summary printed to stderr after
+``repro all``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import List, Tuple
+
+from repro.obs.metrics import Counter
 
 #: How a job was satisfied.
 STATUS_HIT = "hit"  # persistent cache
@@ -42,35 +45,45 @@ class EngineMetrics:
 
     records: List[JobRecord] = field(default_factory=list)
     started_unix: float = field(default_factory=time.time)
+    jobs_total: Counter = field(
+        default_factory=lambda: Counter(
+            "repro_engine_jobs_total",
+            "Characterisation engine jobs by resolution.",
+            ("status",),
+        )
+    )
 
     def record(self, record: JobRecord) -> None:
         self.records.append(record)
+        self.jobs_total.inc((record.status,))
 
     # ----------------------------------------------------------------- #
     # counters
     # ----------------------------------------------------------------- #
     @property
     def jobs(self) -> int:
-        return len(self.records)
-
-    def _count(self, status: str) -> int:
-        return sum(1 for r in self.records if r.status == status)
+        return self.jobs_total.total
 
     @property
     def cache_hits(self) -> int:
-        return self._count(STATUS_HIT)
+        return self.jobs_total.value((STATUS_HIT,))
 
     @property
     def memo_hits(self) -> int:
-        return self._count(STATUS_MEMO)
+        return self.jobs_total.value((STATUS_MEMO,))
 
     @property
     def computed(self) -> int:
-        return self._count(STATUS_COMPUTED)
+        return self.jobs_total.value((STATUS_COMPUTED,))
 
     @property
     def failed(self) -> int:
-        return self._count(STATUS_FAILED)
+        return self.jobs_total.value((STATUS_FAILED,))
+
+    @property
+    def last_status(self) -> str:
+        """How the most recent job was satisfied (memo before any job)."""
+        return self.records[-1].status if self.records else STATUS_MEMO
 
     @property
     def misses(self) -> int:
@@ -79,9 +92,8 @@ class EngineMetrics:
     @property
     def hit_rate(self) -> float:
         """Fraction of jobs served from cache or memo (0 when idle)."""
-        if not self.records:
-            return 0.0
-        return (self.cache_hits + self.memo_hits) / self.jobs
+        jobs = self.jobs
+        return (self.cache_hits + self.memo_hits) / jobs if jobs else 0.0
 
     @property
     def retries(self) -> int:

@@ -1,9 +1,11 @@
-"""repro.obs — stdlib-only tracing and structured logging.
+"""repro.obs — stdlib-only tracing, metrics and structured logging.
 
 The observability layer for the serving/engine stack: per-request span
 trees with monotonic clocks (:mod:`repro.obs.trace`), Chrome
-trace-event export (:mod:`repro.obs.chrome`) and NDJSON structured
-logs (:mod:`repro.obs.logs`).  No third-party dependencies; safe to
+trace-event export (:mod:`repro.obs.chrome`), the counter / gauge /
+histogram instruments the engine and the service share
+(:mod:`repro.obs.metrics`) and NDJSON structured logs
+(:mod:`repro.obs.logs`).  No third-party dependencies; safe to
 import from any layer.
 """
 

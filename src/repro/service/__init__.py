@@ -11,9 +11,10 @@ admission, per-request deadlines, graceful drain, and live metrics.
 Layering::
 
     config.py     ServiceConfig: every knob, env-overridable, validated
-    telemetry.py  counters / gauges / histograms, /healthz + /metrics
+    telemetry.py  the /healthz + /metrics registry: repro.obs.metrics
+                  instruments plus the engine's own job counter
     admission.py  bounded in-flight work, 429 backpressure, drain
-    batcher.py    per-lane micro-batching onto vec_add/vec_sub/vec_mul
+    batcher.py    per-lane micro-batching onto the fp.ops vectorized lanes
     http.py       minimal HTTP/1.1 wire layer over asyncio streams
     handlers.py   endpoint implementations and routing
     server.py     ReproService wiring, lifecycle, SIGTERM drain

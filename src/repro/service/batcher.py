@@ -39,42 +39,23 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fp.adder import fp_add, fp_sub
-from repro.fp.divider import fp_div
 from repro.fp.format import FPFormat
-from repro.fp.mac import fp_fma
-from repro.fp.multiplier import fp_mul
+from repro.fp.ops import OP_ARITY, OP_TABLE
 from repro.fp.rounding import RoundingMode
-from repro.fp.sqrt import fp_sqrt
-from repro.fp.vectorized import (
-    lane_dtype,
-    vec_add,
-    vec_div,
-    vec_fma,
-    vec_mul,
-    vec_sqrt,
-    vec_sub,
-)
+from repro.fp.vectorized import lane_dtype
 from repro.obs.trace import NULL_TRACE, Span
 from repro.service.config import ServiceConfig
 from repro.service.telemetry import Telemetry
 
 #: Servable op name -> (scalar reference, vectorized implementation,
-#: operand count).  The arity travels with the table so every layer —
+#: operand count), from :data:`repro.fp.ops.OP_TABLE`.  Batches read it
+#: at call time; the arity travels with the row so every layer —
 #: handler validation, submit, batch execution — agrees on how many
-#: operand columns a lane carries (sqrt is the unary lane, fma the
-#: ternary one).
+#: operand columns a lane carries (:data:`OP_ARITY` is the same count).
 OPS = {
-    "add": (fp_add, vec_add, 2),
-    "sub": (fp_sub, vec_sub, 2),
-    "mul": (fp_mul, vec_mul, 2),
-    "div": (fp_div, vec_div, 2),
-    "sqrt": (fp_sqrt, vec_sqrt, 1),
-    "fma": (fp_fma, vec_fma, 3),
+    name: (op.scalar, op.vectorized, op.arity)
+    for name, op in OP_TABLE.items()
 }
-
-#: Op name -> operand count, derived from :data:`OPS`.
-OP_ARITY = {op: arity for op, (_, _, arity) in OPS.items()}
 
 #: Lane identity: exact datapath configuration.  Formats hash by
 #: geometry (``name`` is compare=False), so only bit-identical datapaths

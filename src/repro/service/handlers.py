@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from time import monotonic
 from typing import AsyncIterator, Dict, Optional, Tuple
 
-from repro.engine.metrics import JobRecord
 from repro.experiments import REGISTRY, experiment_job
 from repro.explore import catalog as explore_catalog
 from repro.explore.recommend import (
@@ -420,11 +419,10 @@ class Handlers:
                 f"unknown experiment {name!r} (known: {', '.join(REGISTRY)})",
             )
         engine = self.service.engine
-        result, records = await self._run_sweep(
+        result, source = await self._run_sweep(
             lambda: engine.evaluate(experiment_job(name)),
             None if request is None else request.trace,
         )
-        source = records[-1].status if records else "memo"
         return _json_reply(
             200,
             {
@@ -476,13 +474,12 @@ class Handlers:
                 for kind in kinds:
                     for fmt in formats:
                         t0 = monotonic()
-                        space, recs = await self._run_sweep_admitted(
+                        space, source = await self._run_sweep_admitted(
                             lambda k=kind, f=fmt: explore(
                                 f, k, engine=service.engine
                             ),
                             trace,
                         )
-                        source = recs[-1].status if recs else "memo"
                         span_trace.add(
                             "explore.sweep",
                             t0,
@@ -537,7 +534,7 @@ class Handlers:
         span_trace = trace if trace is not None else NULL_TRACE
         engine = self.service.engine
         try:
-            payload, records = await self._run_sweep(
+            payload, source = await self._run_sweep(
                 lambda: recommend_query(
                     doc, engine=engine, trace=span_trace
                 ),
@@ -545,7 +542,6 @@ class Handlers:
             )
         except (QueryError, UnsatisfiableError) as exc:
             raise ProtocolError(400, str(exc)) from exc
-        source = records[-1].status if records else "memo"
         return (
             200,
             payload_bytes(payload),
@@ -559,10 +555,9 @@ class Handlers:
         Sweeps occupy an admission slot like any other request — a
         drain waits for them, and a full queue sheds them — but are
         serialized on their own thread so they can never starve op
-        batches.  Returns ``(result, new_records)`` — the engine
-        :class:`~repro.engine.metrics.JobRecord` entries this evaluation
-        added, already mirrored into the service telemetry so
-        ``/metrics`` reports the characterisation cache hit rate.
+        batches.  Returns ``(result, source)``: ``source`` is how the
+        engine resolved the evaluation's last job (hit | memo |
+        computed), which the sweep pool's single thread makes exact.
         ``trace`` propagates to the engine, whose ``cache.lookup`` /
         ``execute`` spans land in the request's trace.
         """
@@ -587,14 +582,10 @@ class Handlers:
                 with service.engine.tracing(trace):
                     return fn()
 
-            before = len(service.engine.metrics.records)
             result = await asyncio.wait_for(
                 asyncio.get_running_loop().run_in_executor(
                     service.sweep_pool, evaluate
                 ),
                 service.config.sweep_timeout_s,
             )
-            records: list[JobRecord] = service.engine.metrics.records[before:]
-            for record in records:
-                service.telemetry.record_engine(record.status)
-            return result, records
+            return result, service.engine.metrics.last_status

@@ -62,11 +62,11 @@ def route_label(path: str) -> str:
 class ReproService:
     """One configured server instance (not yet listening)."""
 
-    def __init__(
-        self, config: ServiceConfig, telemetry: Optional[Telemetry] = None
-    ) -> None:
+    def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.telemetry = telemetry or Telemetry(version=__version__)
+        cache = ResultCache(config.cache_dir) if config.cache_dir else None
+        self.engine = Engine(cache=cache)
+        self.telemetry = Telemetry(version=__version__, engine=self.engine.metrics)
         self.admission = AdmissionController(config.queue_depth, self.telemetry)
         #: Single-threaded pool for batch execution: vectorized calls
         #: run off the event loop so accept/parse continues during a
@@ -80,8 +80,6 @@ class ReproService:
             max_workers=1, thread_name_prefix="repro-sweep"
         )
         self.batcher = MicroBatcher(config, self.telemetry, self.compute_pool)
-        cache = ResultCache(config.cache_dir) if config.cache_dir else None
-        self.engine = Engine(cache=cache)
         # Stage latencies fold into telemetry at the point each stage
         # is recorded (admission folds its wait, the batcher folds
         # linger per member and dispatch/scatter as one weighted

@@ -35,68 +35,18 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.engine import Engine, Job, default_engine
-from repro.fp.adder import fp_add, fp_sub
-from repro.fp.divider import fp_div
 from repro.fp.format import ALL_FORMATS, FPFormat
-from repro.fp.mac import fp_fma
-from repro.fp.multiplier import fp_mul
-from repro.fp.reference import (
-    ref_add,
-    ref_div,
-    ref_fma,
-    ref_mul,
-    ref_sqrt,
-    ref_sub,
-)
+from repro.fp.ops import OP_ARITY, OP_TABLE
 from repro.fp.rounding import RoundingMode
-from repro.fp.sqrt import fp_sqrt
-from repro.fp.vectorized import (
-    vec_add,
-    vec_div,
-    vec_fma,
-    vec_mul,
-    vec_sqrt,
-    vec_sub,
-)
 from repro.verify.testbench import OperandClass, OperandGenerator
 
 #: Operations covered by the campaign: vectorized, scalar, oracle.
 CAMPAIGN_OPS = ("add", "sub", "mul", "div", "sqrt", "fma")
 
-_VEC = {
-    "add": vec_add,
-    "sub": vec_sub,
-    "mul": vec_mul,
-    "div": vec_div,
-    "sqrt": vec_sqrt,
-    "fma": vec_fma,
-}
-_SCALAR = {
-    "add": fp_add,
-    "sub": fp_sub,
-    "mul": fp_mul,
-    "div": fp_div,
-    "sqrt": fp_sqrt,
-    "fma": fp_fma,
-}
-_ORACLE = {
-    "add": ref_add,
-    "sub": ref_sub,
-    "mul": ref_mul,
-    "div": ref_div,
-    "sqrt": ref_sqrt,
-    "fma": ref_fma,
-}
-
-#: Operand count per campaign op: sqrt is unary, fma ternary.
-OP_ARITY = {
-    "add": 2,
-    "sub": 2,
-    "mul": 2,
-    "div": 2,
-    "sqrt": 1,
-    "fma": 3,
-}
+# Per-role views of the op table, looked up at call time.
+_VEC = {name: op.vectorized for name, op in OP_TABLE.items()}
+_SCALAR = {name: op.scalar for name, op in OP_TABLE.items()}
+_ORACLE = {name: op.oracle for name, op in OP_TABLE.items()}
 
 #: Check every k-th pair against the Fraction oracle as well (the oracle
 #: is orders of magnitude slower than the scalar datapath, so the full

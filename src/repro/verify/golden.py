@@ -29,14 +29,7 @@ from repro.fp.format import (
     PAPER_FORMATS,
     SMALL_FORMATS,
 )
-from repro.fp.reference import (
-    ref_add,
-    ref_div,
-    ref_fma,
-    ref_mul,
-    ref_sqrt,
-    ref_sub,
-)
+from repro.fp.ops import OP_ARITY, OP_TABLE
 from repro.fp.rounding import RoundingMode
 from repro.verify.testbench import OperandClass, OperandGenerator
 
@@ -49,18 +42,6 @@ GOLDEN_OPS = ("add", "mul", "div", "sqrt", "fma")
 #: Operations covered by the small-format (fp16/bf16) corpora — the ops
 #: that run on narrow lane dtypes, so every corpus replays a uint16 lane.
 SMALL_GOLDEN_OPS = ("add", "sub", "mul")
-
-_ORACLE = {
-    "add": ref_add,
-    "sub": ref_sub,
-    "mul": ref_mul,
-    "div": ref_div,
-    "sqrt": ref_sqrt,
-    "fma": ref_fma,
-}
-
-#: Operand count per golden op (mirrors verify.differential.OP_ARITY).
-GOLDEN_ARITY = {"add": 2, "sub": 2, "mul": 2, "div": 2, "sqrt": 1, "fma": 3}
 
 _OPERAND_KEYS = ("a", "b", "c")
 
@@ -144,10 +125,10 @@ def generate_corpus(
     samples_per_pair: int = SAMPLES_PER_PAIR,
 ) -> dict:
     """Build one corpus document from the exact rational oracle."""
-    if op not in _ORACLE:
-        raise ValueError(f"unknown golden op {op!r}; known: {sorted(_ORACLE)}")
-    oracle = _ORACLE[op]
-    arity = GOLDEN_ARITY[op]
+    if op not in OP_TABLE:
+        raise ValueError(f"unknown golden op {op!r}; known: {sorted(OP_TABLE)}")
+    oracle = OP_TABLE[op].oracle
+    arity = OP_ARITY[op]
     gen = OperandGenerator(fmt, seed)
     classes = list(OperandClass)
     cases = []
@@ -231,7 +212,7 @@ def load_corpus(path: str | Path) -> dict:
     return {
         "fmt": fmt,
         "op": doc["op"],
-        "arity": GOLDEN_ARITY[doc["op"]],
+        "arity": OP_ARITY[doc["op"]],
         "seed": doc["seed"],
         "cases": cases,
     }

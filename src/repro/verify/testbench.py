@@ -14,14 +14,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.fp.adder import fp_add, fp_sub
-from repro.fp.divider import fp_div
 from repro.fp.flags import FPFlags
 from repro.fp.format import FPFormat
-from repro.fp.multiplier import fp_mul
-from repro.fp.reference import ref_add, ref_div, ref_mul, ref_sqrt, ref_sub
+from repro.fp.ops import OP_TABLE
 from repro.fp.rounding import RoundingMode
-from repro.fp.sqrt import fp_sqrt
 
 
 class OperandClass(enum.Enum):
@@ -44,15 +40,14 @@ class OperandClass(enum.Enum):
 
 #: Binary operation name -> (implementation, oracle).
 OPERATIONS: dict[str, tuple[Callable, Callable]] = {
-    "add": (fp_add, ref_add),
-    "sub": (fp_sub, ref_sub),
-    "mul": (fp_mul, ref_mul),
-    "div": (fp_div, ref_div),
+    name: (op.scalar, op.oracle)
+    for name, op in OP_TABLE.items() if op.arity == 2
 }
 
 #: Unary operation name -> (implementation, oracle).
 UNARY_OPERATIONS: dict[str, tuple[Callable, Callable]] = {
-    "sqrt": (fp_sqrt, ref_sqrt),
+    name: (op.scalar, op.oracle)
+    for name, op in OP_TABLE.items() if op.arity == 1
 }
 
 
@@ -202,18 +197,7 @@ def run_testbench(
                 exp_bits, _ = oracle(fmt, a, b, mode)
                 report.cases += 1
                 report.pair_counts[(cls_a, cls_b)] += 1
-                for name, raised in (
-                    ("overflow", got_flags.overflow),
-                    ("underflow", got_flags.underflow),
-                    ("inexact", got_flags.inexact),
-                    ("invalid", got_flags.invalid),
-                    ("zero", got_flags.zero),
-                    ("div_by_zero", got_flags.div_by_zero),
-                ):
-                    if raised:
-                        report.flag_histogram[name] = (
-                            report.flag_histogram.get(name, 0) + 1
-                        )
+                _record_flags(report, got_flags)
                 if got_bits != exp_bits:
                     report.mismatches.append(
                         Mismatch(op, a, b, got_bits, exp_bits, mode)

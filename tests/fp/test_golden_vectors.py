@@ -6,23 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.fp.adder import fp_add, fp_sub
 from repro.fp import vectorized
-from repro.fp.divider import fp_div
 from repro.fp.format import BF16, FP16, FP32, FP48, FP64
-from repro.fp.mac import fp_fma
-from repro.fp.multiplier import fp_mul
+from repro.fp.ops import OP_TABLE
 from repro.fp.rounding import RoundingMode
-from repro.fp.sqrt import fp_sqrt
-from repro.fp.vectorized import (
-    lane_dtype,
-    vec_add,
-    vec_div,
-    vec_fma,
-    vec_mul,
-    vec_sqrt,
-    vec_sub,
-)
+from repro.fp.vectorized import lane_dtype
 from repro.verify.golden import (
     GOLDEN_OPS,
     GOLDEN_SEED,
@@ -33,23 +21,6 @@ from repro.verify.golden import (
 )
 
 VECTOR_DIR = Path(__file__).resolve().parent.parent / "vectors"
-
-SCALAR = {
-    "add": fp_add,
-    "sub": fp_sub,
-    "mul": fp_mul,
-    "div": fp_div,
-    "sqrt": fp_sqrt,
-    "fma": fp_fma,
-}
-VECTORIZED = {
-    "add": vec_add,
-    "sub": vec_sub,
-    "mul": vec_mul,
-    "div": vec_div,
-    "sqrt": vec_sqrt,
-    "fma": vec_fma,
-}
 
 CORPUS_FILES = sorted(VECTOR_DIR.glob("*.json"))
 
@@ -80,7 +51,7 @@ def test_corpus_is_checked_in():
 def test_scalar_datapaths_match_golden(path):
     doc = load_corpus(path)
     fmt, op = doc["fmt"], doc["op"]
-    impl = SCALAR[op]
+    impl = OP_TABLE[op].scalar
     assert doc["cases"], "corpus must not be empty"
     for case in doc["cases"]:
         for mode in RoundingMode:
@@ -96,7 +67,7 @@ def test_vectorized_datapaths_match_golden(path):
     corpora, uint32 for fp32 add/mul, uint64 otherwise)."""
     doc = load_corpus(path)
     fmt, op = doc["fmt"], doc["op"]
-    vec = VECTORIZED[op]
+    vec = OP_TABLE[op].vectorized
     columns = [
         np.array([c["operands"][j] for c in doc["cases"]], dtype=np.uint64)
         for j in range(doc["arity"])
@@ -116,7 +87,7 @@ def test_every_lane_matches_golden(path, monkeypatch):
     its uint64 baseline — same bits, same flags."""
     doc = load_corpus(path)
     fmt, op = doc["fmt"], doc["op"]
-    vec = VECTORIZED[op]
+    vec = OP_TABLE[op].vectorized
     columns = [
         np.array([c["operands"][j] for c in doc["cases"]], dtype=np.uint64)
         for j in range(doc["arity"])

@@ -7,19 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.fp.adder import fp_add, fp_sub
+from repro.fp.adder import fp_add
 from repro.fp.format import FP32, FP48, FPFormat
-from repro.fp.multiplier import fp_mul
+from repro.fp.ops import OP_TABLE
 from repro.fp.rounding import RoundingMode
-from repro.fp.vectorized import vec_add, vec_mul, vec_sub
+from repro.fp.vectorized import vec_add, vec_mul
 
 FP16 = FPFormat(exp_bits=5, man_bits=10, name="fp16")
 
-OPS = [
-    (vec_add, fp_add),
-    (vec_sub, fp_sub),
-    (vec_mul, fp_mul),
-]
+OPS = [(OP_TABLE[op].vectorized, OP_TABLE[op].scalar) for op in ("add", "sub", "mul")]
 
 
 def random_words(fmt, n, rng):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.fp import vectorized
-from repro.fp.adder import fp_add, fp_sub
 from repro.fp.format import BF16, FP16, FP32, FP48, FP64, FPFormat
-from repro.fp.multiplier import fp_mul
+from repro.fp.ops import OP_TABLE
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import (
     MAX_MAN_BITS,
@@ -47,11 +46,7 @@ BOUNDARY_FORMATS = (
     FPFormat(exp_bits=4, man_bits=59, name="b59"),
 ) + tuple(LANE_BOUNDARY_FORMATS)
 
-OPS = [
-    (vec_add, fp_add),
-    (vec_sub, fp_sub),
-    (vec_mul, fp_mul),
-]
+OPS = [(OP_TABLE[op].vectorized, OP_TABLE[op].scalar) for op in ("add", "sub", "mul")]
 
 
 def random_words(fmt, n, rng):

@@ -13,8 +13,8 @@ import socket
 
 import pytest
 
-from repro.service import ServiceConfig, ServiceThread
 from repro.explore.recommend import payload_bytes, recommend
+from tests.service.helpers import request
 
 EXPLORE_PATH = "/v1/explore?kinds=adder&formats=fp16"
 RECOMMEND_QUERY = {
@@ -23,27 +23,6 @@ RECOMMEND_QUERY = {
     "objective": "mops_per_watt",
     "constraints": {"max_slices": 10_000, "min_clock_mhz": 100},
 }
-
-
-@pytest.fixture(scope="module")
-def server():
-    config = ServiceConfig(port=0, linger_ms=0.5, queue_depth=256)
-    with ServiceThread(config) as thread:
-        yield thread
-
-
-def request(server, method, path, body=None):
-    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
-    try:
-        payload = json.dumps(body).encode() if body is not None else None
-        conn.request(method, path, body=payload,
-                     headers={"Content-Type": "application/json"}
-                     if payload else {})
-        resp = conn.getresponse()
-        data = resp.read()
-        return resp.status, data, dict(resp.getheaders())
-    finally:
-        conn.close()
 
 
 def read_raw_response(sock):

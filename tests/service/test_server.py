@@ -17,7 +17,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
@@ -28,32 +27,10 @@ from repro.fp.rounding import RoundingMode
 from repro.service import ServiceConfig, ServiceThread, run_load_blocking
 from repro.service.batcher import OPS
 from repro.verify.golden import corpus_filename, load_corpus
+from tests.service.helpers import request
 
 VECTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "vectors")
 RNE = RoundingMode.NEAREST_EVEN
-
-
-@pytest.fixture(scope="module")
-def server():
-    # Tiny linger: correctness tests issue sequential requests, so each
-    # flushes as a batch of one after the linger expires.
-    config = ServiceConfig(port=0, linger_ms=0.5, queue_depth=256)
-    with ServiceThread(config) as thread:
-        yield thread
-
-
-def request(server, method, path, body=None):
-    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
-    try:
-        payload = json.dumps(body).encode() if body is not None else None
-        conn.request(method, path, body=payload,
-                     headers={"Content-Type": "application/json"}
-                     if payload else {})
-        resp = conn.getresponse()
-        data = resp.read()
-        return resp.status, data, dict(resp.getheaders())
-    finally:
-        conn.close()
 
 
 class Client:
@@ -122,6 +99,17 @@ class TestOperational:
     def test_batch_stats_is_get_only(self, server):
         status, _, _ = request(server, "POST", "/v1/batch-stats", {})
         assert status == 405
+
+    def test_timed_out_sweep_still_counts_its_engine_job(self):
+        # A sweep past sweep_timeout_s answers 504, but the engine still
+        # finishes the job: /metrics must count it all the same.
+        with ServiceThread(ServiceConfig(port=0, sweep_timeout_s=0.001)) as thread:
+            status, _, _ = request(thread, "GET", "/v1/unit?kind=divider&format=fp64")
+            assert status == 504
+            thread.service.sweep_pool.submit(lambda: None).result()
+            _, data, _ = request(thread, "GET", "/metrics")
+            counts = re.findall(r"(?m)^repro_engine_jobs_total\S* (\d+)$", data.decode())
+            assert sum(map(int, counts)) == thread.service.engine.metrics.jobs >= 1
 
     def test_version_header_consistency_with_cli(self, server):
         # Satellite 1: /healthz and `repro --version` report one string.

@@ -1,14 +1,15 @@
 """Telemetry instruments: counters, gauges, histograms, exposition."""
 
+import re
+
 import pytest
 
+from repro.engine.metrics import STATUS_HIT, EngineMetrics, JobRecord
+from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.service.telemetry import (
     BATCH_BUCKETS,
+    LATENCY_BUCKETS_S,
     STAGE_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    LabeledHistogram,
     Telemetry,
 )
 
@@ -166,16 +167,16 @@ class TestExemplar:
 
 class TestLabeledHistogram:
     def test_child_identity_and_observe(self):
-        h = LabeledHistogram("h", "help", ("stage",), (1.0, 2.0))
+        h = Histogram("h", "help", (1.0, 2.0), label_names=("stage",))
         child = h.child(("admit",))
         assert h.child(("admit",)) is child
-        h.observe(("admit",), 0.5)
+        h.child(("admit",)).observe(0.5)
         child.observe(1.5)
         assert child.count == 2
 
     def test_render_labels_every_sample(self):
         t = Telemetry()
-        t.stage_latency_s.observe(("scatter",), 0.0002)
+        t.stage_latency_s.child(("scatter",)).observe(0.0002)
         text = t.render()
         assert "# TYPE repro_stage_latency_seconds histogram" in text
         assert ('repro_stage_latency_seconds_bucket{stage="scatter",le="+Inf"} 1'
@@ -185,7 +186,7 @@ class TestLabeledHistogram:
     def test_stage_summary_shape(self):
         t = Telemetry()
         for _ in range(4):
-            t.stage_latency_s.observe(("batch.linger",), 0.001)
+            t.stage_latency_s.child(("batch.linger",)).observe(0.001)
         t.stage_latency_s.child(("scatter",))  # pre-resolved, unobserved
         summary = t.stage_summary()
         assert set(summary) == {"batch.linger"}
@@ -214,28 +215,86 @@ class TestTelemetry:
         assert snap["uptime_s"] >= 0
 
     def test_engine_hit_rate(self):
-        t = Telemetry()
-        assert t.engine_hit_rate() == 0.0
-        t.record_engine("computed")
-        t.record_engine("hit")
-        t.record_engine("memo")
-        t.record_engine("failed")
-        assert t.engine_hit_rate() == pytest.approx(0.5)
+        engine = EngineMetrics()
+        t = Telemetry(engine=engine)
+        assert t.snapshot()["engine_hit_rate"] == 0.0
+        for status in ("computed", "hit", "memo", "failed"):
+            engine.record(JobRecord("job", "key", status))
+        assert t.snapshot()["engine_hit_rate"] == pytest.approx(0.5)
 
     def test_prometheus_exposition(self):
+        """One observation per instrument pins the whole exposition."""
         t = Telemetry(version="1.0.0")
         t.requests_total.inc(("/healthz", "200"))
-        t.request_latency_s.observe(0.003)
+        t.request_latency_s.observe(0.003, trace_id="t-1")
+        t.batch_size.observe(4)
+        t.stage_latency_s.child(("scatter",)).observe(0.0002)
+        t.batches_total.inc(("mul", "fp32", "rne"))
+        t.queue_depth.set(3)
         t.shed_total.inc()
-        text = t.render()
-        assert "# TYPE repro_requests_total counter" in text
-        assert 'repro_requests_total{route="/healthz",status="200"} 1' in text
-        assert "# TYPE repro_request_latency_seconds histogram" in text
-        assert 'repro_request_latency_seconds_bucket{le="+Inf"} 1' in text
-        assert "repro_request_latency_seconds_count 1" in text
-        assert "repro_shed_total 1" in text
-        assert "repro_uptime_seconds" in text
-        assert text.endswith("\n")
+        t.timeout_total.inc()
+        t.spot_checks_total.inc()
+        t.engine.record(JobRecord("job", "key", STATUS_HIT))
+        t.explore_points_total.inc(n=2)
+        text = re.sub(r"(?m)^(repro_uptime_seconds) \S+$", r"\1 *", t.render())
+
+        def buckets(name, bounds, observed, labels=""):
+            counts = [(f"{b:g}", int(b >= observed)) for b in bounds] + [("+Inf", 1)]
+            return "\n".join(f'{name}_bucket{{{labels}le="{le}"}} {n}' for le, n in counts)
+
+        assert text == f"""\
+# HELP repro_requests_total Requests by route and status code.
+# TYPE repro_requests_total counter
+repro_requests_total{{route="/healthz",status="200"}} 1
+# HELP repro_request_latency_seconds Server-side request latency (admit to response ready).
+# TYPE repro_request_latency_seconds histogram
+{buckets("repro_request_latency_seconds", LATENCY_BUCKETS_S, 0.003)}
+repro_request_latency_seconds_sum 0.003
+repro_request_latency_seconds_count 1
+# HELP repro_request_latency_seconds_slowest Largest observation in the current exemplar window, by trace ID.
+# TYPE repro_request_latency_seconds_slowest gauge
+repro_request_latency_seconds_slowest{{trace_id="t-1"}} 0.003
+# HELP repro_batch_size FP op requests coalesced per vectorized call.
+# TYPE repro_batch_size histogram
+{buckets("repro_batch_size", BATCH_BUCKETS, 4)}
+repro_batch_size_sum 4
+repro_batch_size_count 1
+# HELP repro_stage_latency_seconds Per-request pipeline stage latency, by span name.
+# TYPE repro_stage_latency_seconds histogram
+{buckets("repro_stage_latency_seconds", STAGE_BUCKETS_S, 0.0002, 'stage="scatter",')}
+repro_stage_latency_seconds_sum{{stage="scatter"}} 0.0002
+repro_stage_latency_seconds_count{{stage="scatter"}} 1
+# HELP repro_batches_total Executed vectorized batches by lane.
+# TYPE repro_batches_total counter
+repro_batches_total{{op="mul",format="fp32",mode="rne"}} 1
+# HELP repro_queue_depth Admitted requests currently in flight.
+# TYPE repro_queue_depth gauge
+repro_queue_depth 3
+# HELP repro_queue_depth_max High-water mark of repro_queue_depth.
+# TYPE repro_queue_depth_max gauge
+repro_queue_depth_max 3
+# HELP repro_shed_total Requests rejected with 429 (queue full).
+# TYPE repro_shed_total counter
+repro_shed_total 1
+# HELP repro_timeout_total Requests that hit the per-request deadline.
+# TYPE repro_timeout_total counter
+repro_timeout_total 1
+# HELP repro_spot_checks_total Sampled scalar cross-checks executed against batches.
+# TYPE repro_spot_checks_total counter
+repro_spot_checks_total 1
+# HELP repro_engine_jobs_total Characterisation engine jobs by resolution.
+# TYPE repro_engine_jobs_total counter
+repro_engine_jobs_total{{status="hit"}} 1
+# HELP repro_explore_points_total Design points streamed by /v1/explore.
+# TYPE repro_explore_points_total counter
+repro_explore_points_total 2
+# HELP repro_uptime_seconds Seconds since server start.
+# TYPE repro_uptime_seconds gauge
+repro_uptime_seconds *
+# HELP repro_engine_hit_rate Cache/memo fraction of engine jobs.
+# TYPE repro_engine_hit_rate gauge
+repro_engine_hit_rate 1.0000
+"""
 
     def test_histogram_buckets_are_cumulative(self):
         t = Telemetry()
@@ -246,3 +305,4 @@ class TestTelemetry:
         assert 'repro_batch_size_bucket{le="1"} 1' in text
         assert 'repro_batch_size_bucket{le="4"} 3' in text
         assert 'repro_batch_size_bucket{le="+Inf"} 3' in text
+

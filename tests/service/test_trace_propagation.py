@@ -8,36 +8,12 @@ is readable at ``/v1/trace/{id}`` after the response, and the
 holds.
 """
 
-import http.client
 import json
-
-import pytest
 
 from repro.obs.trace import REQUEST_STAGES
 from repro.service import ServiceConfig, ServiceThread, run_load_blocking
 from repro.service.loadgen import resolve_load_format
-
-
-@pytest.fixture(scope="module")
-def server():
-    config = ServiceConfig(port=0, linger_ms=0.5, queue_depth=256)
-    with ServiceThread(config) as thread:
-        yield thread
-
-
-def request(server, method, path, body=None, headers=None):
-    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
-    try:
-        payload = json.dumps(body).encode() if body is not None else None
-        all_headers = dict(headers or {})
-        if payload:
-            all_headers.setdefault("Content-Type", "application/json")
-        conn.request(method, path, body=payload, headers=all_headers)
-        resp = conn.getresponse()
-        data = resp.read()
-        return resp.status, data, dict(resp.getheaders())
-    finally:
-        conn.close()
+from tests.service.helpers import request
 
 
 def post_mul(server, fmt="fp32", trace_id=None, a="0x3f800000",
