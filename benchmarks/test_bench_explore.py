@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.bench import EXPLORE_BENCH_QUERY, explore_bench
+from repro.bench import EXPLORE_BENCH_QUERY, explore_bench, row_values
 from repro.engine import Engine
 from repro.explore.catalog import unit_frontier_job
 from repro.explore.recommend import recommend
@@ -53,12 +53,13 @@ def test_warm_recommend_at_least_20x_faster_than_cold():
 
 def test_explore_bench_snapshot_reports_the_gate():
     snapshot = explore_bench(repeats=3)
+    assert set(snapshot) == {"schema", "suite", "config", "context", "rows"}
     assert snapshot["suite"] == "explore"
-    speedups = snapshot["speedups"]
-    assert speedups["frontier.warm_vs_cold.units"] >= 20
-    assert speedups["recommend.warm_vs_cold.units"] >= 20
-    names = {b["name"] for b in snapshot["benchmarks"]}
-    assert names == {
+    values = row_values(snapshot)
+    assert values["frontier.warm_vs_cold.units"] >= 20
+    assert values["recommend.warm_vs_cold.units"] >= 20
+    timings = {row["name"] for row in snapshot["rows"] if row["unit"] == "s"}
+    assert timings == {
         "frontier.units.cold",
         "frontier.units.warm",
         "recommend.units.cold",

@@ -3,7 +3,7 @@ plus the wavefront-batched simulator's perf gates."""
 
 import time
 
-from repro.bench import kernel_bench
+from repro.bench import kernel_bench, row_values
 from repro.experiments import (
     fig4_energy_distribution,
     fig5_problem_size,
@@ -45,7 +45,7 @@ def test_batched_speedup_over_stepped(show_once):
     the clock-by-clock array by >= 10x at n = 32, FP32 (kernel_bench
     itself cross-checks the two runs bit-for-bit)."""
     snapshot = kernel_bench(sizes=(32,), scan_sizes=(), repeats=3)
-    speedup = snapshot["speedups"]["batched_vs_stepped.fp32.n32"]
+    speedup = row_values(snapshot)["batched_vs_stepped.fp32.n32"]
     show_once("bench.speedup", f"batched vs stepped @ n=32 fp32: {speedup:.1f}x")
     assert speedup >= 10.0, f"batched only {speedup:.1f}x faster than stepped"
 

@@ -9,7 +9,7 @@ multiplies — the op the mixed-precision matmul ablation leans on — at a
 size (2^20) where the ratio is stable on noisy hosts.
 """
 
-from repro.bench import lanes_bench, render_lanes
+from repro.bench import lanes_bench, render, row_values
 
 #: The gated floor for the uint16 small-format multiplies.  Measured
 #: headroom is ~1.9-2.5x on a 2-vCPU host; 1.8x leaves room for
@@ -21,7 +21,7 @@ _snapshot: dict | None = None
 
 def _shared_snapshot() -> dict:
     # One measured run shared by every gate in the module: the bench is
-    # seconds-long at n=2^20 and the gates read different keys of the
+    # seconds-long at n=2^20 and the gates read different rows of the
     # same snapshot.  Best-of-5 because the uint64 baseline shares the
     # uint8 flag path, which leaves less headroom above the floor.
     global _snapshot
@@ -32,8 +32,8 @@ def _shared_snapshot() -> dict:
 
 def test_uint16_mul_fp16_speedup(show_once):
     snapshot = _shared_snapshot()
-    show_once("bench.lanes", render_lanes(snapshot))
-    speedup = snapshot["speedups"]["lane_vs_uint64.mul.fp16"]
+    show_once("bench.lanes", render(snapshot))
+    speedup = row_values(snapshot)["lane_vs_uint64.mul.fp16"]
     assert speedup >= GATE, (
         f"fp16 mul on uint16 lanes only {speedup:.2f}x over uint64 lanes "
         f"(gate {GATE}x)"
@@ -42,8 +42,8 @@ def test_uint16_mul_fp16_speedup(show_once):
 
 def test_uint16_mul_bf16_speedup(show_once):
     snapshot = _shared_snapshot()
-    show_once("bench.lanes", render_lanes(snapshot))
-    speedup = snapshot["speedups"]["lane_vs_uint64.mul.bf16"]
+    show_once("bench.lanes", render(snapshot))
+    speedup = row_values(snapshot)["lane_vs_uint64.mul.bf16"]
     assert speedup >= GATE, (
         f"bf16 mul on uint16 lanes only {speedup:.2f}x over uint64 lanes "
         f"(gate {GATE}x)"
@@ -54,10 +54,11 @@ def test_lanes_snapshot_covers_every_lane(show_once):
     """Informational coverage: every narrow (format, lane) has both a
     native and a uint64 timing plus a speedup ratio."""
     snapshot = _shared_snapshot()
-    names = {entry["name"] for entry in snapshot["benchmarks"]}
+    assert set(snapshot) == {"schema", "suite", "config", "context", "rows"}
+    values = row_values(snapshot)
     n = snapshot["config"]["n"]
     for fmt_name, dtype in (("fp16", "uint16"), ("bf16", "uint16"), ("fp32", "uint32")):
         for op in ("add", "sub", "mul"):
-            assert f"{dtype}.{op}.{fmt_name}.n{n}" in names
-            assert f"uint64.{op}.{fmt_name}.n{n}" in names
-            assert snapshot["speedups"][f"lane_vs_uint64.{op}.{fmt_name}"] > 0
+            assert f"{dtype}.{op}.{fmt_name}.n{n}" in values
+            assert f"uint64.{op}.{fmt_name}.n{n}" in values
+            assert values[f"lane_vs_uint64.{op}.{fmt_name}"] > 0

@@ -27,7 +27,7 @@ cannot produce a clean-looking pair by luck.
 
 import time
 
-from repro.bench import dispatch_rps, service_bench
+from repro.bench import dispatch_rps, row_values, service_bench
 from repro.obs.trace import REQUEST_STAGES
 
 #: The issue's gate: batched dispatch at the service's default batching
@@ -134,22 +134,24 @@ def test_service_snapshot_roundtrip(show_once):
     snapshot = service_bench(
         concurrency=32, requests=1024, http_requests=512, http_concurrency=32
     )
-    assert snapshot["schema"] == "repro-bench/1"
+    assert set(snapshot) == {"schema", "suite", "config", "context", "rows"}
+    assert snapshot["schema"] == "repro-bench/2"
     assert snapshot["suite"] == "service"
-    dispatch = snapshot["dispatch"]
-    assert dispatch["batched_rps"] > dispatch["batch1_rps"] > 0
+    values = row_values(snapshot)
+    assert values["dispatch.batched_rps"] > values["dispatch.batch1_rps"] > 0
     for stage in REQUEST_STAGES:
-        assert stage in snapshot["stages"]
-        row = snapshot["stages"][stage]
-        assert row["count"] > 0 and row["p99_ms"] >= row["mean_ms"] >= 0.0
-    tracing = snapshot["tracing"]
-    assert tracing["traced_rps"] > 0 and tracing["untraced_rps"] > 0
-    http = snapshot["http"]
-    assert http["statuses"].get("200", 0) == 512
-    assert http["errors"] == 0
+        count = values[f"stage.{stage}.count"]
+        mean_ms = values[f"stage.{stage}.mean_ms"]
+        assert count > 0 and values[f"stage.{stage}.p99_ms"] >= mean_ms >= 0.0
+    assert values["tracing.untraced_rps"] > 0
+    assert values["tracing.traced_cpu_rps"] > 0
+    assert values["tracing.untraced_cpu_rps"] > 0
+    assert values.get("http.statuses.200", 0) == 512
+    assert values["http.errors"] == 0
     show_once(
         "bench.service.http",
-        f"http loopback {http['concurrency']}-way: "
-        f"{http['achieved_rps']:.0f} req/s "
-        f"(p50 {http['p50_ms']:.2f} ms, p99 {http['p99_ms']:.2f} ms)",
+        f"http loopback {snapshot['config']['http_concurrency']}-way: "
+        f"{values['http.achieved_rps']:.0f} req/s "
+        f"(p50 {values['http.p50_ms']:.2f} ms, "
+        f"p99 {values['http.p99_ms']:.2f} ms)",
     )

@@ -1,15 +1,30 @@
-"""Kernel micro-benchmarks as data: the ``repro bench`` snapshot.
+"""Performance suites as data: the ``repro bench`` snapshot.
 
 The benchmark suite under ``benchmarks/`` gates relative performance in
-CI, but its numbers die in the job log.  This module runs the kernel
-micro-benchmarks — stepped vs wavefront-batched array simulation at
-small sizes, batched-only scaling at Fig 5/6-style sizes — and emits one
-machine-readable JSON snapshot, so the repo's perf trajectory can
-accumulate over time (``repro bench --json BENCH_kernel.json``).
+CI, but its numbers die in the job log.  This module runs four suites
+and emits each as one machine-readable JSON snapshot, so the repo's perf
+trajectory can accumulate over time:
 
-Timings are wall-clock and machine-dependent by design; the *speedups*
-are the portable quantity, and the batched-vs-stepped ratio at n = 32 is
-the one the benchmark suite asserts (>= 10x).
+* **kernel** — stepped vs wavefront-batched vs fused array simulation at
+  small sizes, batched-only scaling at Fig 5/6-style sizes;
+* **lanes** — every narrow-lane add/sub/mul against the same code pinned
+  to ``uint64`` lanes;
+* **service** — batched vs unbatched in-process dispatch, tracing on vs
+  off, the per-stage span breakdown and a loopback HTTP run;
+* **explore** — cold vs warm frontier computation and recommendation.
+
+Every suite shares one snapshot shape::
+
+    {"schema": "repro-bench/2", "suite", "config", "context",
+     "rows": [{"name", "unit", "value"}, ...]}
+
+``config`` holds the suite's inputs, ``context`` the interpreter and
+host, and each measurement is one row.  Units: ``s`` (best-of-N process
+CPU time), ``x`` (a ratio), ``1/s`` (a rate), ``count``, ``ms`` (the
+service's latency means and percentiles, whose row names end in
+``_ms``) and ``id`` (a design ID, the one non-numeric value).  Timings
+are machine-dependent by design; the ratios are the portable quantity
+the benchmark suite gates.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from repro.fp.rounding import RoundingMode
 from repro.kernels.batched import make_matmul_array
 
 #: Snapshot schema identifier; bump when the JSON layout changes.
-SCHEMA = "repro-bench/1"
+SCHEMA = "repro-bench/2"
 
 #: Stepped-vs-batched comparison sizes (stepped is O(n^3) scalar ops,
 #: so these stay small) and batched-only scaling sizes.
@@ -43,18 +58,43 @@ DEFAULT_LANES_N = 1 << 20
 LANE_BENCH_OPS = ("add", "sub", "mul")
 
 
-def _best_of(
-    fn: Callable[[], object],
-    repeats: int,
-    clock: Callable[[], float] = time.perf_counter,
-) -> float:
-    """Best ``clock`` time of ``repeats`` runs (min filters scheduler noise)."""
+def _best_of(fn: Callable[[], object], repeats: int) -> float:
+    """Best process CPU time of ``repeats`` runs (min filters host noise)."""
     best = float("inf")
     for _ in range(repeats):
-        t0 = clock()
+        t0 = time.process_time()
         fn()
-        best = min(best, clock() - t0)
+        best = min(best, time.process_time() - t0)
     return best
+
+
+def _row(name: str, unit: str, value) -> dict:
+    return {"name": name, "unit": unit, "value": value}
+
+
+def _context() -> dict:
+    import numpy as np
+
+    return {
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+        "numpy": np.__version__,
+    }
+
+
+def _snapshot(suite: str, config: dict, rows: list[dict]) -> dict:
+    return {
+        "schema": SCHEMA,
+        "suite": suite,
+        "config": config,
+        "context": _context(),
+        "rows": rows,
+    }
+
+
+def row_values(snapshot: dict) -> dict:
+    """``{row name: value}`` for one snapshot."""
+    return {row["name"]: row["value"] for row in snapshot["rows"]}
 
 
 def _rand_matrix(fmt: FPFormat, n: int, rng: random.Random) -> list[list[int]]:
@@ -84,8 +124,7 @@ def kernel_bench(
     from repro.kernels.fast import functional_matmul_fma
 
     rng = random.Random(seed)
-    benchmarks: list[dict] = []
-    speedups: dict[str, float] = {}
+    rows: list[dict] = []
     for n in sizes:
         a = _rand_matrix(fmt, n, rng)
         b = _rand_matrix(fmt, n, rng)
@@ -116,43 +155,31 @@ def kernel_bench(
                 f"fma run diverged from fused functional twin at n={n} "
                 f"({fmt.name})"
             )
-        benchmarks.append({"name": f"matmul.stepped.{fmt.name}.n{n}",
-                           "seconds": t_stepped})
-        benchmarks.append({"name": f"matmul.batched.{fmt.name}.n{n}",
-                           "seconds": t_batched})
-        benchmarks.append({"name": f"matmul.fma.{fmt.name}.n{n}",
-                           "seconds": t_fused})
-        speedups[f"batched_vs_stepped.{fmt.name}.n{n}"] = t_stepped / t_batched
-        speedups[f"fma_vs_batched.{fmt.name}.n{n}"] = t_batched / t_fused
+        rows += [
+            _row(f"matmul.stepped.{fmt.name}.n{n}", "s", t_stepped),
+            _row(f"matmul.batched.{fmt.name}.n{n}", "s", t_batched),
+            _row(f"matmul.fma.{fmt.name}.n{n}", "s", t_fused),
+            _row(f"batched_vs_stepped.{fmt.name}.n{n}", "x",
+                 t_stepped / t_batched),
+            _row(f"fma_vs_batched.{fmt.name}.n{n}", "x", t_batched / t_fused),
+        ]
     for n in scan_sizes:
         a = _rand_matrix(fmt, n, rng)
         b = _rand_matrix(fmt, n, rng)
         batched = make_matmul_array(fmt, n, mul_latency, add_latency,
                                     mode=mode, backend="batched")
-        t = _best_of(lambda: batched.run(a, b), 1)
-        benchmarks.append({"name": f"matmul.batched.{fmt.name}.n{n}",
-                           "seconds": t})
-    return {
-        "schema": SCHEMA,
-        "suite": "kernel",
-        "config": {
-            "fmt": fmt.name,
-            "mul_latency": mul_latency,
-            "add_latency": add_latency,
-            "mode": mode.value,
-            "sizes": list(sizes),
-            "scan_sizes": list(scan_sizes),
-            "repeats": repeats,
-            "seed": seed,
-        },
-        "context": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            "numpy": np.__version__,
-        },
-        "benchmarks": benchmarks,
-        "speedups": speedups,
-    }
+        rows.append(_row(f"matmul.batched.{fmt.name}.n{n}", "s",
+                         _best_of(lambda: batched.run(a, b), 1)))
+    return _snapshot("kernel", {
+        "fmt": fmt.name,
+        "mul_latency": mul_latency,
+        "add_latency": add_latency,
+        "mode": mode.value,
+        "sizes": list(sizes),
+        "scan_sizes": list(scan_sizes),
+        "repeats": repeats,
+        "seed": seed,
+    }, rows)
 
 
 @contextlib.contextmanager
@@ -189,10 +216,9 @@ def lanes_bench(
     on its native lane and again with the lane pinned to ``uint64``,
     over the same ``n`` random operand pairs — flags on, the full
     service contract — and records the ratio as
-    ``lane_vs_uint64.{op}.{fmt}``.  Timings are best-of-``repeats``
-    process CPU time.  Every timed pair is also cross-checked
-    element-wise (bits and flags), so a benchmark run doubles as an
-    equivalence check exactly like :func:`kernel_bench`.
+    ``lane_vs_uint64.{op}.{fmt}``.  Every timed pair is also
+    cross-checked element-wise (bits and flags), so a benchmark run
+    doubles as an equivalence check exactly like :func:`kernel_bench`.
     """
     import numpy as np
 
@@ -200,14 +226,11 @@ def lanes_bench(
     from repro.fp.format import ALL_FORMATS
 
     rng = np.random.default_rng(seed)
-    benchmarks: list[dict] = []
-    speedups: dict[str, float] = {}
-    lanes: list[dict] = []
+    rows: list[dict] = []
     for fmt in ALL_FORMATS:
         dtype = vectorized.lane_dtype("mul", fmt)
         if dtype == "uint64":
             continue
-        lanes.append({"fmt": fmt.name, "dtype": dtype})
         a = rng.integers(0, fmt.word_mask + 1, size=n, dtype=np.uint64)
         b = rng.integers(0, fmt.word_mask + 1, size=n, dtype=np.uint64)
         for op in ops:
@@ -219,7 +242,7 @@ def lanes_bench(
             got_bits, got_flags = call()
             with _uint64_lanes():
                 want_bits, want_flags = call()
-                t_wide = _best_of(call, repeats, time.process_time)
+                t_wide = _best_of(call, repeats)
             if not (
                 np.array_equal(got_bits, want_bits)
                 and np.array_equal(got_flags, want_flags)
@@ -232,50 +255,19 @@ def lanes_bench(
                     f"uint64 lanes at element {bad}: a={int(a[bad]):#x} "
                     f"b={int(b[bad]):#x}"
                 )
-            t_native = _best_of(call, repeats, time.process_time)
-            benchmarks.append({
-                "name": f"uint64.{op}.{fmt.name}.n{n}",
-                "seconds": t_wide,
-            })
-            benchmarks.append({
-                "name": f"{dtype}.{op}.{fmt.name}.n{n}",
-                "seconds": t_native,
-            })
-            speedups[f"lane_vs_uint64.{op}.{fmt.name}"] = t_wide / t_native
-    return {
-        "schema": SCHEMA,
-        "suite": "lanes",
-        "config": {
-            "n": n,
-            "ops": list(ops),
-            "mode": mode.value,
-            "repeats": repeats,
-            "seed": seed,
-            "lanes": lanes,
-        },
-        "context": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            "numpy": np.__version__,
-        },
-        "benchmarks": benchmarks,
-        "speedups": speedups,
-    }
-
-
-def render_lanes(snapshot: dict) -> str:
-    """Human-readable summary of a lanes snapshot (with ns/element)."""
-    cfg = snapshot["config"]
-    lanes = ", ".join(f"{l['fmt']} {l['dtype']}" for l in cfg["lanes"])
-    lines = [f"lanes bench (n={cfg['n']}, {cfg['mode']}; lanes: {lanes})"]
-    for entry in snapshot["benchmarks"]:
-        lines.append(
-            f"  {entry['name']:<28} {entry['seconds'] * 1000.0:>10.2f} ms"
-            f" {entry['seconds'] * 1e9 / cfg['n']:>8.1f} ns/elem"
-        )
-    for name, ratio in snapshot["speedups"].items():
-        lines.append(f"  {name:<36} {ratio:>9.2f}x")
-    return "\n".join(lines)
+            t_native = _best_of(call, repeats)
+            rows += [
+                _row(f"uint64.{op}.{fmt.name}.n{n}", "s", t_wide),
+                _row(f"{dtype}.{op}.{fmt.name}.n{n}", "s", t_native),
+                _row(f"lane_vs_uint64.{op}.{fmt.name}", "x", t_wide / t_native),
+            ]
+    return _snapshot("lanes", {
+        "n": n,
+        "ops": list(ops),
+        "mode": mode.value,
+        "repeats": repeats,
+        "seed": seed,
+    }, rows)
 
 
 def dispatch_rps(
@@ -364,37 +356,30 @@ def service_bench(
 ) -> dict:
     """Benchmark the serving layer; return the snapshot dict.
 
-    Two measurements: the gated one — batched vs unbatched dispatch on
-    the in-process request lifecycle (machine-independent because it is
-    self-relative) — and an informational full-stack number, a loopback
-    HTTP loadgen run against a live server (wall-clock, machine- and
-    loopback-dependent, recorded for trajectory only).
+    Three dispatch runs on the in-process request lifecycle — unbatched,
+    batched and traced, batched and untraced — give the gated
+    batched-vs-unbatched ratio (self-relative, so machine-independent)
+    and the tracing overhead.  Tracing's cost is extra Python work per
+    request, so that ratio compares the two batched runs' process CPU
+    time, which a loaded host's wall clock would blur (the 10% gate
+    lives in ``benchmarks/``).  A loopback HTTP loadgen run against a
+    live server adds the full-stack numbers, recorded for trajectory
+    only.  Rates and latencies are wall clock: queueing and linger are
+    part of what they measure.
     """
     from repro.service import ServiceConfig, ServiceThread, run_load_blocking
 
-    batched_rps, mean_batch, stages = dispatch_rps(
-        max_batch, concurrency=concurrency, requests=requests, seed=seed
-    )
-    solo_rps, _, _ = dispatch_rps(
-        1, concurrency=concurrency, requests=requests, seed=seed
-    )
-    # Tracing overhead: the same batched workload with sampling off.
-    # The batched_rps run above traces every request, so the pair bounds
-    # what default-on tracing costs (the 10% gate lives in benchmarks/).
-    # The overhead ratio is computed on process CPU time — tracing's
-    # cost is extra Python work per request, which CPU time measures
-    # directly and a loaded host's wall clock does not.
-    c0 = time.process_time()
-    untraced_rps, _, _ = dispatch_rps(
-        max_batch, concurrency=concurrency, requests=requests, seed=seed,
-        trace_sample=0.0,
-    )
-    untraced_cpu_rps = requests / (time.process_time() - c0)
-    c0 = time.process_time()
-    dispatch_rps(
-        max_batch, concurrency=concurrency, requests=requests, seed=seed
-    )
-    traced_cpu_rps = requests / (time.process_time() - c0)
+    def run(batch: int, trace_sample: float = 1.0):
+        c0 = time.process_time()
+        rps, mean_batch, stages = dispatch_rps(
+            batch, concurrency=concurrency, requests=requests, seed=seed,
+            trace_sample=trace_sample,
+        )
+        return rps, mean_batch, stages, time.process_time() - c0
+
+    solo_rps, _, _, _ = run(1)
+    batched_rps, mean_batch, stages, traced_cpu = run(max_batch)
+    untraced_rps, _, _, untraced_cpu = run(max_batch, trace_sample=0.0)
 
     config = ServiceConfig(port=0, max_batch=max_batch,
                            queue_depth=max(256, 4 * http_concurrency))
@@ -407,75 +392,46 @@ def service_bench(
             seed=seed,
         )
 
-    return {
-        "schema": SCHEMA,
-        "suite": "service",
-        "config": {
-            "op": "mul",
-            "fmt": FP32.name,
-            "mode": RoundingMode.NEAREST_EVEN.value,
-            "concurrency": concurrency,
-            "requests": requests,
-            "max_batch": max_batch,
-            "http_concurrency": http_concurrency,
-            "http_requests": http_requests,
-            "seed": seed,
-        },
-        "context": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-        },
-        "dispatch": {
-            "batched_rps": round(batched_rps, 1),
-            "batch1_rps": round(solo_rps, 1),
-            "mean_batch_size": round(mean_batch, 2),
-        },
-        "stages": stages,
-        "tracing": {
-            "traced_rps": round(batched_rps, 1),
-            "untraced_rps": round(untraced_rps, 1),
-            "traced_cpu_rps": round(traced_cpu_rps, 1),
-            "untraced_cpu_rps": round(untraced_cpu_rps, 1),
-            "overhead_ratio": round(traced_cpu_rps / untraced_cpu_rps, 4),
-        },
-        "http": report.to_json(),
-        "speedups": {
-            f"dispatch.batch{max_batch}_vs_batch1.fp32.mul":
-                batched_rps / solo_rps,
-        },
-    }
-
-
-def render_service(snapshot: dict) -> str:
-    """Human-readable summary of a service snapshot."""
-    cfg = snapshot["config"]
-    dispatch = snapshot["dispatch"]
-    http = snapshot["http"]
-    lines = [
-        f"service bench ({cfg['concurrency']}-way {cfg['op']}/{cfg['fmt']}"
-        f"/{cfg['mode']}, max_batch={cfg['max_batch']})",
-        f"  dispatch batched                 {dispatch['batched_rps']:>10.0f} req/s"
-        f" (mean batch {dispatch['mean_batch_size']:.1f})",
-        f"  dispatch batch=1                 {dispatch['batch1_rps']:>10.0f} req/s",
-        f"  {'http loopback ' + str(cfg['http_concurrency']) + '-way':<33}"
-        f"{http['achieved_rps']:>10.0f} req/s"
-        f" (p50 {http['p50_ms']:.2f} ms, p99 {http['p99_ms']:.2f} ms)",
+    rows = [
+        _row("dispatch.batched_rps", "1/s", batched_rps),
+        _row("dispatch.batch1_rps", "1/s", solo_rps),
+        _row("dispatch.mean_batch_size", "count", mean_batch),
+        _row(f"dispatch.batch{max_batch}_vs_batch1.fp32.mul", "x",
+             batched_rps / solo_rps),
     ]
-    for stage, row in snapshot.get("stages", {}).items():
-        lines.append(
-            f"  stage {stage:<27}"
-            f"{row['mean_ms']:>10.3f} ms mean, p99 {row['p99_ms']:.3f} ms"
-        )
-    tracing = snapshot.get("tracing")
-    if tracing:
-        lines.append(
-            f"  tracing on vs off (cpu-time)     {tracing['overhead_ratio']:>9.2f}x"
-            f" ({tracing['traced_cpu_rps']:.0f} vs "
-            f"{tracing['untraced_cpu_rps']:.0f} req/s)"
-        )
-    for name, ratio in snapshot["speedups"].items():
-        lines.append(f"  {name:<32} {ratio:>9.1f}x")
-    return "\n".join(lines)
+    for stage, summary in stages.items():
+        rows += [
+            _row(f"stage.{stage}.count", "count", summary["count"]),
+            _row(f"stage.{stage}.mean_ms", "ms", summary["mean_ms"]),
+            _row(f"stage.{stage}.p99_ms", "ms", summary["p99_ms"]),
+            _row(f"stage.{stage}.p99_saturated", "count",
+                 int(summary["p99_saturated"])),
+        ]
+    rows += [
+        _row("tracing.untraced_rps", "1/s", untraced_rps),
+        _row("tracing.traced_cpu_rps", "1/s", requests / traced_cpu),
+        _row("tracing.untraced_cpu_rps", "1/s", requests / untraced_cpu),
+        _row("tracing.overhead_ratio", "x", untraced_cpu / traced_cpu),
+        _row("http.achieved_rps", "1/s", report.achieved_rps),
+        _row("http.p50_ms", "ms", report.p50_ms),
+        _row("http.p99_ms", "ms", report.p99_ms),
+        _row("http.errors", "count", report.errors),
+    ]
+    rows += [
+        _row(f"http.statuses.{code}", "count", n)
+        for code, n in sorted(report.statuses.items())
+    ]
+    return _snapshot("service", {
+        "op": "mul",
+        "fmt": FP32.name,
+        "mode": RoundingMode.NEAREST_EVEN.value,
+        "concurrency": concurrency,
+        "requests": requests,
+        "max_batch": max_batch,
+        "http_concurrency": http_concurrency,
+        "http_requests": http_requests,
+        "seed": seed,
+    }, rows)
 
 
 #: The Table-2-style recommendation query the explore bench times: the
@@ -502,74 +458,57 @@ def explore_bench(repeats: int = 3) -> dict:
     from repro.explore.recommend import recommend
 
     job = unit_frontier_job()
-
     engine = Engine()
-    t0 = time.perf_counter()
-    frontier = engine.evaluate(job)
-    t_frontier_cold = time.perf_counter() - t0
+    t_frontier_cold = _best_of(lambda: engine.evaluate(job), 1)
     t_frontier_warm = _best_of(lambda: engine.evaluate(job), repeats)
+    frontier = engine.evaluate(job)
 
-    cold_engine = Engine()
-    t0 = time.perf_counter()
-    payload = recommend(EXPLORE_BENCH_QUERY, engine=cold_engine)
-    t_recommend_cold = time.perf_counter() - t0
-    t_recommend_warm = _best_of(
-        lambda: recommend(EXPLORE_BENCH_QUERY, engine=cold_engine), repeats
-    )
+    recommend_engine = Engine()
 
-    return {
-        "schema": SCHEMA,
-        "suite": "explore",
-        "config": {
-            "query": EXPLORE_BENCH_QUERY,
-            "repeats": repeats,
-        },
-        "context": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-        },
-        "grid": {
-            "designs": len(frontier.records),
-            "frontier": len(frontier.frontier),
-            "best": payload["best"]["id"],
-        },
-        "benchmarks": [
-            {"name": "frontier.units.cold", "seconds": t_frontier_cold},
-            {"name": "frontier.units.warm", "seconds": t_frontier_warm},
-            {"name": "recommend.units.cold", "seconds": t_recommend_cold},
-            {"name": "recommend.units.warm", "seconds": t_recommend_warm},
-        ],
-        "speedups": {
-            "frontier.warm_vs_cold.units": t_frontier_cold / t_frontier_warm,
-            "recommend.warm_vs_cold.units": t_recommend_cold / t_recommend_warm,
-        },
-    }
+    def query():
+        return recommend(EXPLORE_BENCH_QUERY, engine=recommend_engine)
+
+    t_recommend_cold = _best_of(query, 1)
+    t_recommend_warm = _best_of(query, repeats)
+
+    return _snapshot("explore", {
+        "query": EXPLORE_BENCH_QUERY,
+        "repeats": repeats,
+    }, [
+        _row("frontier.units.cold", "s", t_frontier_cold),
+        _row("frontier.units.warm", "s", t_frontier_warm),
+        _row("recommend.units.cold", "s", t_recommend_cold),
+        _row("recommend.units.warm", "s", t_recommend_warm),
+        _row("frontier.warm_vs_cold.units", "x",
+             t_frontier_cold / t_frontier_warm),
+        _row("recommend.warm_vs_cold.units", "x",
+             t_recommend_cold / t_recommend_warm),
+        _row("grid.designs", "count", len(frontier.records)),
+        _row("grid.frontier", "count", len(frontier.frontier)),
+        _row("grid.best", "id", query()["best"]["id"]),
+    ])
 
 
-def render_explore(snapshot: dict) -> str:
-    """Human-readable summary of an explore snapshot."""
-    grid = snapshot["grid"]
-    lines = [
-        f"explore bench ({grid['designs']} designs, "
-        f"{grid['frontier']} on the frontier; best: {grid['best']})"
-    ]
-    for entry in snapshot["benchmarks"]:
-        lines.append(
-            f"  {entry['name']:<32} {entry['seconds'] * 1000.0:>10.3f} ms"
-        )
-    for name, ratio in snapshot["speedups"].items():
-        lines.append(f"  {name:<32} {ratio:>9.1f}x")
-    return "\n".join(lines)
+#: How :func:`render` prints a value of each unit.
+_SHOW = {
+    "s": lambda v: f"{v * 1e3:12.3f} ms",
+    "ms": lambda v: f"{v:12.3f} ms",
+    "x": lambda v: f"{v:12.2f} x",
+    "1/s": lambda v: f"{v:12.0f} /s",
+    "count": lambda v: f"{v:12g}",
+    "id": lambda v: f"{v:>12}",
+}
 
 
 def render(snapshot: dict) -> str:
     """Human-readable summary of a snapshot (stdout companion to JSON)."""
-    lines = [f"kernel bench ({snapshot['config']['fmt']}, "
-             f"PL={snapshot['config']['mul_latency'] + snapshot['config']['add_latency']})"]
-    for entry in snapshot["benchmarks"]:
-        lines.append(f"  {entry['name']:<32} {entry['seconds'] * 1000.0:>10.2f} ms")
-    for name, ratio in snapshot["speedups"].items():
-        lines.append(f"  {name:<32} {ratio:>9.1f}x")
+    config = ", ".join(
+        f"{key}={json.dumps(value, separators=(',', ':'))}"
+        for key, value in snapshot["config"].items()
+    )
+    lines = [f"{snapshot['suite']} bench ({config})"]
+    for row in snapshot["rows"]:
+        lines.append(f"  {row['name']:<40}{_SHOW[row['unit']](row['value'])}")
     return "\n".join(lines)
 
 

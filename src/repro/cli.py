@@ -172,58 +172,31 @@ def _parse_sizes(text: str, flag: str) -> tuple[int, ...] | None:
     return sizes
 
 
-def bench_command(args: argparse.Namespace) -> int:
-    """Run the kernel micro-benchmarks; optionally write the JSON snapshot."""
-    from repro.bench import kernel_bench, render, write_snapshot
-
-    if args.service:
-        from repro.bench import render_service, service_bench
-
-        snapshot = service_bench(seed=args.seed)
-        print(render_service(snapshot))
-        if args.json:
-            write_snapshot(snapshot, args.json)
-            print(f"wrote {args.json}")
-        return 0
-
-    if args.explore:
-        from repro.bench import explore_bench, render_explore
-
-        snapshot = explore_bench(repeats=args.repeats)
-        print(render_explore(snapshot))
-        if args.json:
-            write_snapshot(snapshot, args.json)
-            print(f"wrote {args.json}")
-        return 0
-
-    if args.lanes:
-        from repro.bench import lanes_bench, render_lanes
-
-        snapshot = lanes_bench(repeats=args.repeats, seed=args.seed)
-        print(render_lanes(snapshot))
-        if args.json:
-            write_snapshot(snapshot, args.json)
-            print(f"wrote {args.json}")
-        return 0
-
-    sizes = _parse_sizes(args.bench_sizes, "--bench-sizes")
-    if sizes is None:
-        return 2
-    scan_sizes: tuple[int, ...] = ()
-    if args.scan_sizes:
-        parsed = _parse_sizes(args.scan_sizes, "--scan-sizes")
-        if parsed is None:
-            return 2
-        scan_sizes = parsed
-    snapshot = kernel_bench(
-        sizes=sizes,
-        scan_sizes=scan_sizes,
+#: ``repro bench`` suites: each runs one suite of :mod:`repro.bench`
+#: from the parsed arguments and returns its snapshot.
+SUITES = {
+    "kernel": lambda bench, args: bench.kernel_bench(
+        sizes=args.bench_sizes,
+        scan_sizes=args.scan_sizes,
         repeats=args.repeats,
         seed=args.seed,
-    )
-    print(render(snapshot))
+    ),
+    "lanes": lambda bench, args: bench.lanes_bench(
+        repeats=args.repeats, seed=args.seed
+    ),
+    "service": lambda bench, args: bench.service_bench(seed=args.seed),
+    "explore": lambda bench, args: bench.explore_bench(repeats=args.repeats),
+}
+
+
+def bench_command(args: argparse.Namespace) -> int:
+    """Run one bench suite; optionally write its JSON snapshot."""
+    from repro import bench
+
+    snapshot = SUITES[args.suite](bench, args)
+    print(bench.render(snapshot))
     if args.json:
-        write_snapshot(snapshot, args.json)
+        bench.write_snapshot(snapshot, args.json)
         print(f"wrote {args.json}")
     return 0
 
@@ -310,14 +283,7 @@ def _exploration_engine(cache_dir: str | None) -> "Engine":
 
 def explore_command(argv: Sequence[str]) -> int:
     """Offline twin of ``GET /v1/explore``: the same NDJSON, on stdout."""
-    import json
-
-    from repro.explore.catalog import (
-        compute_frontier,
-        frontier_payload,
-        record_payload,
-        unit_record,
-    )
+    from repro.explore.catalog import ExploreStream
     from repro.explore.recommend import (
         QueryError,
         _resolve_formats,
@@ -352,31 +318,22 @@ def explore_command(argv: Sequence[str]) -> int:
         print(f"repro explore: {exc}", file=sys.stderr)
         return 2
     engine = _exploration_engine(args.cache_dir)
-    records = []
+    lines = ExploreStream()
     for kind in kinds:
         for fmt in formats:
             space = explore(fmt, kind, engine=engine)
-            source = engine.metrics.last_status
-            for report in space.reports:
-                record = unit_record(kind, fmt, report)
-                records.append(record)
-                line = {
-                    "type": "point",
-                    "source": source,
-                    **record_payload(record),
-                }
-                print(json.dumps(line, separators=(",", ":")))
-    front = compute_frontier("units", records)
-    print(json.dumps(frontier_payload(front), separators=(",", ":")))
+            for line in lines.points(kind, fmt, space, engine.metrics.last_status):
+                sys.stdout.buffer.write(line)
+    sys.stdout.buffer.write(lines.trailer()[1])
     return 0
 
 
 def recommend_command(argv: Sequence[str]) -> int:
     """Offline twin of ``POST /v1/recommend``: same payload, stdout."""
+    from repro.explore.catalog import payload_bytes
     from repro.explore.recommend import (
         QueryError,
         UnsatisfiableError,
-        payload_bytes,
         recommend,
     )
 
@@ -690,7 +647,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="experiment names (see 'repro list'), 'all', 'results' to "
         "write every artifact to --outdir, 'cache {stats,clear}', "
         "'verify' for the differential verification campaigns, or "
-        "'bench' for the kernel perf snapshot",
+        "'bench' for a perf snapshot (kernel suite by default; "
+        "--lanes, --service or --explore picks another)",
     )
     parser.add_argument(
         "--version", action="version", version=__version__,
@@ -784,18 +742,33 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="with 'verify': run the batched-vs-stepped array "
         "differential matrix instead of the datapath campaign",
     )
-    parser.add_argument(
+    suite = parser.add_mutually_exclusive_group()
+    suite.add_argument(
         "--lanes",
-        action="store_true",
+        dest="suite",
+        action="store_const",
+        const="lanes",
         help="with 'bench': benchmark add/sub/mul of every narrow-lane "
         "format on its native lane dtype against uint64 lanes",
     )
-    parser.add_argument(
+    suite.add_argument(
+        "--service",
+        dest="suite",
+        action="store_const",
+        const="service",
+        help="with 'bench': benchmark the serving layer (batched vs "
+        "unbatched dispatch, plus full-HTTP loopback throughput) "
+        "instead of the kernels",
+    )
+    suite.add_argument(
         "--explore",
-        action="store_true",
+        dest="suite",
+        action="store_const",
+        const="explore",
         help="with 'bench': benchmark cold vs warm design-space "
         "frontier computation and constrained recommendation",
     )
+    parser.set_defaults(suite="kernel")
     parser.add_argument(
         "--json",
         default=None,
@@ -822,13 +795,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         metavar="K",
         help="with 'bench': batched timing repeats, best-of (default: 3)",
     )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="with 'bench': benchmark the serving layer (batched vs "
-        "unbatched dispatch, plus full-HTTP loopback throughput) "
-        "instead of the kernels",
-    )
     args = parser.parse_args(argv)
     if args.parallel < 1:
         parser.error(f"--parallel must be >= 1, got {args.parallel}")
@@ -843,6 +809,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if names == ["bench"]:
         if args.repeats < 1:
             print(f"--repeats must be >= 1, got {args.repeats}", file=sys.stderr)
+            return 2
+        args.bench_sizes = _parse_sizes(args.bench_sizes, "--bench-sizes")
+        args.scan_sizes = (
+            _parse_sizes(args.scan_sizes, "--scan-sizes")
+            if args.scan_sizes else ()
+        )
+        if args.bench_sizes is None or args.scan_sizes is None:
             return 2
         return bench_command(args)
     if names and names[0] == "cache":

@@ -29,6 +29,7 @@ from repro.explore.catalog import (
     frontier_payload,
     kernel_frontier_job,
     metric_table,
+    payload_bytes,
     record_payload,
     resolve_grid,
     unit_frontier_job,
@@ -37,7 +38,6 @@ from repro.explore.catalog import (
 from repro.explore.recommend import (
     QueryError,
     UnsatisfiableError,
-    payload_bytes,
     recommend,
 )
 

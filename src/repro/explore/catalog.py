@@ -26,6 +26,7 @@ entry shared with ``/v1/unit`` and the experiments.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -339,3 +340,34 @@ def frontier_payload(frontier: Frontier) -> dict:
         "designs": len(frontier.records),
         "frontier": [frontier.records[i].id for i in frontier.frontier],
     }
+
+
+def payload_bytes(payload: dict) -> bytes:
+    """The canonical wire encoding (identical across all surfaces)."""
+    return json.dumps(payload, separators=(",", ":")).encode()
+
+
+class ExploreStream:
+    """The NDJSON lines of one unit-grid exploration, shared verbatim by
+    ``repro explore`` and ``GET /v1/explore``: one point line per
+    implementation as each (kind, format) sweep lands, then one
+    frontier trailer over every point seen."""
+
+    def __init__(self) -> None:
+        self.records: list = []
+
+    def points(self, kind: UnitKind, fmt: FPFormat, space, source: str) -> list:
+        """Point lines for one sweep; ``source`` is how it resolved."""
+        lines = []
+        for report in space.reports:
+            record = unit_record(kind, fmt, report)
+            self.records.append(record)
+            lines.append(payload_bytes(
+                {"type": "point", "source": source, **record_payload(record)}
+            ) + b"\n")
+        return lines
+
+    def trailer(self) -> Tuple[Frontier, bytes]:
+        """The frontier over every point so far, and its trailer line."""
+        front = compute_frontier("units", self.records)
+        return front, payload_bytes(frontier_payload(front)) + b"\n"

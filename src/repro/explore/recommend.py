@@ -25,7 +25,6 @@ needs to relax.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine import CACHE_VERSION, Engine, default_engine
@@ -331,7 +330,3 @@ def recommend(
     )
     return payload
 
-
-def payload_bytes(payload: dict) -> bytes:
-    """The canonical wire encoding (identical across all surfaces)."""
-    return json.dumps(payload, separators=(",", ":")).encode()

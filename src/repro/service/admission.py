@@ -89,6 +89,13 @@ class AdmissionController:
                 self._stage_wait.observe(0.0)
         return verdict
 
+    def hold(self) -> None:
+        """Claim a slot past the limit and any drain, for work already
+        running that must stay counted; pair with :meth:`release`."""
+        self.in_flight += 1
+        if self.telemetry is not None:
+            self.telemetry.queue_depth.set(self.in_flight)
+
     def release(self) -> None:
         """Return a slot claimed by a successful :meth:`admit`."""
         assert self.in_flight > 0, "release without matching admit"

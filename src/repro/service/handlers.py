@@ -33,7 +33,6 @@ from repro.explore import catalog as explore_catalog
 from repro.explore.recommend import (
     QueryError,
     UnsatisfiableError,
-    payload_bytes,
     recommend as recommend_query,
     _resolve_formats,
     _resolve_kinds,
@@ -462,15 +461,11 @@ class Handlers:
         # The stream holds its admission slot for its whole lifetime:
         # admitted here (so shedding/draining answer with a proper
         # status before any body bytes), released by the generator.
-        verdict = service.admission.admit(trace)
-        if verdict is not ADMIT_OK:
-            if verdict is ADMIT_DRAINING:
-                raise ProtocolError(503, "server is draining")
-            raise ProtocolError(429, "queue full; retry later")
+        self._admit(trace)
 
         async def stream() -> AsyncIterator[bytes]:
             try:
-                records = []
+                lines = explore_catalog.ExploreStream()
                 for kind in kinds:
                     for fmt in formats:
                         t0 = monotonic()
@@ -490,32 +485,23 @@ class Handlers:
                                 "source": source,
                             },
                         )
-                        for report in space.reports:
-                            record = explore_catalog.unit_record(
-                                kind, fmt, report
-                            )
-                            records.append(record)
-                            line = {
-                                "type": "point",
-                                "source": source,
-                                **explore_catalog.record_payload(record),
-                            }
-                            yield json_body(line) + b"\n"
+                        for line in lines.points(kind, fmt, space, source):
+                            yield line
                         service.telemetry.explore_points_total.inc(
                             n=len(space.reports)
                         )
                 t0 = monotonic()
-                front = explore_catalog.compute_frontier("units", records)
+                front, trailer = lines.trailer()
                 span_trace.add(
                     "frontier.compute",
                     t0,
                     monotonic(),
                     tags={
-                        "designs": len(records),
+                        "designs": len(lines.records),
                         "frontier": len(front.frontier),
                     },
                 )
-                yield json_body(explore_catalog.frontier_payload(front)) + b"\n"
+                yield trailer
             finally:
                 service.admission.release()
 
@@ -544,7 +530,7 @@ class Handlers:
             raise ProtocolError(400, str(exc)) from exc
         return (
             200,
-            payload_bytes(payload),
+            explore_catalog.payload_bytes(payload),
             "application/json",
             (("X-Repro-Source", source),),
         )
@@ -561,18 +547,29 @@ class Handlers:
         ``trace`` propagates to the engine, whose ``cache.lookup`` /
         ``execute`` spans land in the request's trace.
         """
-        service = self.service
-        verdict = service.admission.admit(trace)
-        if verdict is not ADMIT_OK:
-            if verdict is ADMIT_DRAINING:
-                raise ProtocolError(503, "server is draining")
-            raise ProtocolError(429, "queue full; retry later")
+        self._admit(trace)
         try:
             return await self._run_sweep_admitted(fn, trace)
         finally:
-            service.admission.release()
+            self.service.admission.release()
+
+    def _admit(self, trace) -> None:
+        """Claim an admission slot, or raise the 503/429 saying why not."""
+        verdict = self.service.admission.admit(trace)
+        if verdict is ADMIT_DRAINING:
+            raise ProtocolError(503, "server is draining")
+        if verdict is not ADMIT_OK:
+            raise ProtocolError(429, "queue full; retry later")
 
     async def _run_sweep_admitted(self, fn, trace=None):
+        """Evaluate ``fn`` on the sweep thread for a request holding a slot.
+
+        Past ``sweep_timeout_s`` (or if the request is cancelled) the
+        request gives up, and a job still queued on the sweep thread is
+        dropped.  A job already running cannot be stopped: it takes a
+        slot of its own until it finishes, so ``/healthz`` ``in_flight``
+        and a drain still count the work that occupies the thread.
+        """
         service = self.service
         async with self._sweep_lock:
             # The sweep lock also serializes the engine's active trace:
@@ -582,10 +579,20 @@ class Handlers:
                 with service.engine.tracing(trace):
                     return fn()
 
-            result = await asyncio.wait_for(
-                asyncio.get_running_loop().run_in_executor(
-                    service.sweep_pool, evaluate
-                ),
-                service.config.sweep_timeout_s,
-            )
+            loop = asyncio.get_running_loop()
+            job = service.sweep_pool.submit(evaluate)
+            try:
+                result = await asyncio.wait_for(
+                    asyncio.wrap_future(job), service.config.sweep_timeout_s
+                )
+            except BaseException:
+                if not job.cancel() and not job.done():
+                    service.admission.hold()
+
+                    def release(_):
+                        if not loop.is_closed():
+                            loop.call_soon_threadsafe(service.admission.release)
+
+                    job.add_done_callback(release)
+                raise
             return result, service.engine.metrics.last_status

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, unquote
 
+from repro.explore.catalog import payload_bytes
+
 #: Protocol bounds: generous for JSON op payloads, small enough that a
 #: misbehaving client cannot balloon memory.
 MAX_HEAD_BYTES = 16 * 1024
@@ -204,9 +206,9 @@ def encode_chunk(data: bytes) -> bytes:
     return b"%x\r\n%s\r\n" % (len(data), data)
 
 
-def json_body(payload: dict) -> bytes:
-    """Compact JSON encoding for response bodies."""
-    return json.dumps(payload, separators=(",", ":")).encode()
+#: Compact JSON encoding for response bodies: the one canonical wire
+#: encoder, shared with the offline ``repro explore``/``recommend`` twins.
+json_body = payload_bytes
 
 
 def error_body(status: int, message: str) -> bytes:

@@ -16,13 +16,13 @@ from repro.explore.catalog import (
     metric_table,
     metric_senses,
     objective_vectors,
+    payload_bytes,
     unit_frontier_job,
 )
 from repro.explore.frontier import dominates
 from repro.explore.recommend import (
     QueryError,
     UnsatisfiableError,
-    payload_bytes,
     recommend,
 )
 
@@ -261,6 +261,34 @@ class TestCliBitIdentity:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == direct
+
+    def test_explore_cli_matches_stream(self):
+        # `repro explore` and GET /v1/explore emit the same NDJSON bytes;
+        # both sides start cold, so every point reports `computed`.
+        from repro.service import ServiceConfig, ServiceThread
+        from tests.service.helpers import request
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.cli import main; raise SystemExit(main())",
+                "explore",
+                "--kinds", "adder",
+                "--formats", "fp16",
+            ],
+            capture_output=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        with ServiceThread(ServiceConfig(port=0)) as thread:
+            status, body, _ = request(
+                thread, "GET", "/v1/explore?kinds=adder&formats=fp16"
+            )
+        assert status == 200
+        assert proc.stdout == body
+        assert b'"source":"computed"' in body
 
     def test_cli_rejects_bad_constraint(self):
         src = Path(__file__).resolve().parents[2] / "src"

@@ -13,7 +13,8 @@ import socket
 
 import pytest
 
-from repro.explore.recommend import payload_bytes, recommend
+from repro.explore.catalog import payload_bytes
+from repro.explore.recommend import recommend
 from tests.service.helpers import request
 
 EXPLORE_PATH = "/v1/explore?kinds=adder&formats=fp16"

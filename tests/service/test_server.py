@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -31,6 +32,31 @@ from tests.service.helpers import request
 
 VECTOR_DIR = os.path.join(os.path.dirname(__file__), "..", "vectors")
 RNE = RoundingMode.NEAREST_EVEN
+
+
+def _wait_for(predicate, timeout_s=5.0):
+    """Poll ``predicate`` until true (fails the test after ``timeout_s``)."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+def _gate_sweeps(monkeypatch):
+    """Make every sweep block inside its own evaluation until ``gate``
+    is set; ``started`` is set once one is running."""
+    from repro.service import handlers
+
+    started, gate = threading.Event(), threading.Event()
+    explore = handlers.explore
+
+    def gated(*args, **kwargs):
+        started.set()
+        gate.wait()
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(handlers, "explore", gated)
+    return started, gate
 
 
 class Client:
@@ -110,6 +136,63 @@ class TestOperational:
             _, data, _ = request(thread, "GET", "/metrics")
             counts = re.findall(r"(?m)^repro_engine_jobs_total\S* (\d+)$", data.decode())
             assert sum(map(int, counts)) == thread.service.engine.metrics.jobs >= 1
+
+    def test_abandoned_sweep_keeps_its_admission_slot(self, monkeypatch):
+        # The 504 gives up on the sweep, but a job already running on
+        # the sweep thread cannot be stopped: it must stay counted in
+        # /healthz in_flight until it finishes.
+        started, gate = _gate_sweeps(monkeypatch)
+        with ServiceThread(ServiceConfig(port=0, sweep_timeout_s=0.25)) as thread:
+            thread.service.sweep_pool.submit(lambda: None).result()
+            try:
+                status, _, _ = request(
+                    thread, "GET", "/v1/unit?kind=adder&format=fp16"
+                )
+                assert status == 504
+                assert started.is_set()
+                assert thread.service.admission.in_flight == 1
+                _, data, _ = request(thread, "GET", "/healthz")
+                assert json.loads(data)["in_flight"] == 1
+            finally:
+                gate.set()
+            thread.service.sweep_pool.submit(lambda: None).result()
+            _wait_for(lambda: thread.service.admission.in_flight == 0)
+            _, data, _ = request(thread, "GET", "/healthz")
+            assert json.loads(data)["in_flight"] == 0
+
+    def test_abandoned_explore_sweep_keeps_its_admission_slot(self, monkeypatch):
+        started, gate = _gate_sweeps(monkeypatch)
+        with ServiceThread(ServiceConfig(port=0, sweep_timeout_s=0.25)) as thread:
+            thread.service.sweep_pool.submit(lambda: None).result()
+            try:
+                # The stream's head is already out when its first sweep
+                # times out, so the body ends short instead of a 504.
+                with pytest.raises(http.client.HTTPException):
+                    request(thread, "GET", "/v1/explore?kinds=adder&formats=fp16")
+                assert started.is_set()
+                assert thread.service.admission.in_flight == 1
+            finally:
+                gate.set()
+            thread.service.sweep_pool.submit(lambda: None).result()
+            _wait_for(lambda: thread.service.admission.in_flight == 0)
+
+    def test_abandoned_queued_sweep_is_dropped(self):
+        # A sweep that times out while still queued behind other work
+        # never runs: it holds no slot and adds no engine job.
+        with ServiceThread(ServiceConfig(port=0, sweep_timeout_s=0.01)) as thread:
+            jobs = thread.service.engine.metrics.jobs
+            gate = threading.Event()
+            thread.service.sweep_pool.submit(gate.wait)
+            try:
+                status, _, _ = request(
+                    thread, "GET", "/v1/unit?kind=adder&format=fp16"
+                )
+                assert status == 504
+                assert thread.service.admission.in_flight == 0
+            finally:
+                gate.set()
+            thread.service.sweep_pool.submit(lambda: None).result()
+            assert thread.service.engine.metrics.jobs == jobs
 
     def test_version_header_consistency_with_cli(self, server):
         # Satellite 1: /healthz and `repro --version` report one string.

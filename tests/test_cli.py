@@ -227,21 +227,24 @@ class TestCliBench:
     def test_bench_writes_json_snapshot(self, tmp_path, capsys):
         import json
 
+        from repro.bench import row_values
+
         path = tmp_path / "BENCH_kernel.json"
         assert main(["bench", "--bench-sizes", "2", "--scan-sizes", "",
                      "--repeats", "1", "--json", str(path)]) == 0
         assert f"wrote {path}" in capsys.readouterr().out
         snapshot = json.loads(path.read_text())
-        assert snapshot["schema"] == "repro-bench/1"
+        assert set(snapshot) == {"schema", "suite", "config", "context", "rows"}
+        assert snapshot["schema"] == "repro-bench/2"
         assert snapshot["suite"] == "kernel"
         assert snapshot["config"]["sizes"] == [2]
         assert snapshot["config"]["scan_sizes"] == []
-        names = [entry["name"] for entry in snapshot["benchmarks"]]
-        assert "matmul.stepped.fp32.n2" in names
-        assert "matmul.batched.fp32.n2" in names
-        assert "matmul.fma.fp32.n2" in names
-        assert "batched_vs_stepped.fp32.n2" in snapshot["speedups"]
-        assert "fma_vs_batched.fp32.n2" in snapshot["speedups"]
+        values = row_values(snapshot)
+        assert "matmul.stepped.fp32.n2" in values
+        assert "matmul.batched.fp32.n2" in values
+        assert "matmul.fma.fp32.n2" in values
+        assert "batched_vs_stepped.fp32.n2" in values
+        assert "fma_vs_batched.fp32.n2" in values
 
     def test_bench_rejects_bad_sizes(self, capsys):
         assert main(["bench", "--bench-sizes", "2,zap"]) == 2
@@ -250,6 +253,14 @@ class TestCliBench:
     def test_bench_rejects_bad_repeats(self, capsys):
         assert main(["bench", "--repeats", "0"]) == 2
         assert "--repeats" in capsys.readouterr().err
+
+    def test_bench_suite_flags_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--lanes", "--service"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--lanes" in err and "--service" in err
+        assert "not allowed with" in err
 
 
 class TestCliService:
