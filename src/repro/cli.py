@@ -23,6 +23,21 @@ Usage::
     repro loadgen --port 8080 --requests 2000   # drive a running server
     repro --version           # print the package version
 
+The commands form one table (:func:`build_parser`): one subparser per
+command, and ``repro COMMAND --help`` lists its options.  A first
+argument that names no command (none at all, an experiment name,
+``all``, or an option such as ``--csv``) runs the experiments command on
+the whole command line.  Shared options are declared once, in two parent
+parsers:
+
+* ``--cache-dir DIR``: experiments, ``results``, ``verify``, ``cache``,
+  ``serve``, ``explore`` and ``recommend``;
+* ``--parallel/-j N``, ``--no-cache``, ``--timeout S``, ``--retries K``:
+  experiments, ``results`` and ``verify``.
+
+A command accepts exactly the options it reads; any other option is a
+usage error (exit 2) that names it.
+
 Each experiment prints rows/series directly comparable to the paper's
 table or figure of the same number.  Experiments are evaluated through
 :mod:`repro.engine`: output order is always REGISTRY order regardless of
@@ -37,7 +52,7 @@ import argparse
 import os
 import pathlib
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import __version__
 from repro.engine import (
@@ -48,10 +63,22 @@ from repro.engine import (
     configure_default_engine,
 )
 from repro.experiments import REGISTRY, experiment_jobs
+from repro.fp.format import FORMATS_BY_NAME
+from repro.fp.rounding import RoundingMode
 
 #: Cache directory used when ``repro cache`` is invoked without an
 #: explicit ``--cache-dir`` or ``$REPRO_CACHE_DIR``.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: :class:`~repro.engine.Engine` keywords the engine options set
+#: (``--parallel``, ``--timeout``, ``--retries``); a command without
+#: them gets the engine's serial defaults.
+ENGINE_OPTIONS = ("workers", "timeout_s", "retries")
+
+DESCRIPTION = (
+    "Regenerate the tables and figures of Govindu et al., 'Analysis of "
+    "High-performance Floating-point Arithmetic on FPGAs' (IPPS 2004)."
+)
 
 
 def discover_panels(result: Any) -> list[tuple[str, Any]]:
@@ -85,9 +112,8 @@ def _resolve_cache_dir(args: argparse.Namespace, default: str | None = None) -> 
 
 
 def build_engine(args: argparse.Namespace) -> Engine:
-    """Engine configured from ``--parallel/--cache-dir/--no-cache``."""
+    """Engine configured from the shared options the command takes."""
     cache_dir = _resolve_cache_dir(args)
-    cache = ResultCache(cache_dir) if cache_dir else None
     if cache_dir:
         # Propagate to process-pool workers and the in-library default
         # engine, so nested sweeps (explorer, kernel design space) share
@@ -95,14 +121,28 @@ def build_engine(args: argparse.Namespace) -> Engine:
         os.environ[CACHE_DIR_ENV] = cache_dir
         configure_default_engine(None)
     return Engine(
-        cache=cache,
-        workers=args.parallel,
-        timeout_s=args.timeout,
-        retries=args.retries,
+        cache=ResultCache(cache_dir) if cache_dir else None,
+        **{k: v for k, v in vars(args).items() if k in ENGINE_OPTIONS},
     )
 
 
-def run_experiments(names: list[str], args: argparse.Namespace) -> int:
+def list_command(args: argparse.Namespace) -> int:
+    print("available experiments:")
+    for name in REGISTRY:
+        print(f"  {name}")
+    return 0
+
+
+def experiments_command(args: argparse.Namespace) -> int:
+    """Run the named experiments (``all``: every one; none: list them)."""
+    names = list(REGISTRY) if args.experiments == ["all"] else args.experiments
+    if not names:
+        return list_command(args)
+    unknown = [n for n in names if n not in REGISTRY]
+    if unknown:
+        print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
+        print(f"known: {', '.join(REGISTRY)}", file=sys.stderr)
+        return 2
     engine = build_engine(args)
     results = engine.run(experiment_jobs(names))
     for i, result in enumerate(results):
@@ -113,9 +153,9 @@ def run_experiments(names: list[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def write_results(outdir: str, args: argparse.Namespace) -> int:
-    """Run every experiment, writing text and CSV artifacts to ``outdir``."""
-    root = pathlib.Path(outdir)
+def results_command(args: argparse.Namespace) -> int:
+    """Run every experiment, writing text and CSV artifacts to ``--outdir``."""
+    root = pathlib.Path(args.outdir)
     root.mkdir(parents=True, exist_ok=True)
     engine = build_engine(args)
     results = engine.run(experiment_jobs())
@@ -136,39 +176,45 @@ def write_results(outdir: str, args: argparse.Namespace) -> int:
     return 0
 
 
-def cache_command(action: str, args: argparse.Namespace) -> int:
-    if action not in ("stats", "clear"):
-        print(
-            f"unknown cache action {action!r} (expected: stats, clear)",
-            file=sys.stderr,
-        )
-        return 2
-    cache_dir = _resolve_cache_dir(args, default=DEFAULT_CACHE_DIR)
-    assert cache_dir is not None
-    cache = ResultCache(cache_dir)
-    if action == "stats":
+def cache_command(args: argparse.Namespace) -> int:
+    """``stats`` renders the persistent cache; ``clear`` drops entries."""
+    cache = ResultCache(_resolve_cache_dir(args, default=DEFAULT_CACHE_DIR))
+    if args.action == "stats":
         print(cache.stats().render())
-        return 0
-    if action == "clear":
-        if getattr(args, "stale", False):
-            removed = cache.clear(stale_only=True, current_version=CACHE_VERSION)
-            print(f"removed {removed} stale entr{'y' if removed == 1 else 'ies'}")
-        else:
-            removed = cache.clear()
-            print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")
-        return 0
-    raise AssertionError(action)  # pragma: no cover - validated above
+    elif args.stale:
+        removed = cache.clear(stale_only=True, current_version=CACHE_VERSION)
+        print(f"removed {removed} stale entr{'y' if removed == 1 else 'ies'}")
+    else:
+        removed = cache.clear()
+        print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")
+    return 0
 
 
-def _parse_sizes(text: str, flag: str) -> tuple[int, ...] | None:
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse ``type=`` for an integer ``>= low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    """argparse ``type=`` for a comma-separated list of sizes >= 1."""
     try:
         sizes = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         sizes = ()
     if not sizes or any(n < 1 for n in sizes):
-        print(f"{flag} expects a comma-separated list of sizes >= 1",
-              file=sys.stderr)
-        return None
+        raise argparse.ArgumentTypeError(
+            f"expects a comma-separated list of sizes >= 1, got {text!r}"
+        )
     return sizes
 
 
@@ -220,27 +266,24 @@ def verify_kernels_command(args: argparse.Namespace) -> int:
 
 def verify_command(args: argparse.Namespace) -> int:
     """Run the vectorized-vs-scalar-vs-oracle differential campaign."""
-    from repro.fp.format import ALL_FORMATS
-    from repro.fp.rounding import RoundingMode
     from repro.verify.differential import CAMPAIGN_OPS, run_campaign
 
     if args.kernels:
         return verify_kernels_command(args)
 
-    by_name = {f.name: f for f in ALL_FORMATS}
     if args.formats:
         names = [n.strip() for n in args.formats.split(",") if n.strip()]
-        unknown = [n for n in names if n not in by_name]
+        unknown = [n for n in names if n not in FORMATS_BY_NAME]
         if unknown:
             print(
                 f"unknown formats: {', '.join(unknown)} "
-                f"(known: {', '.join(by_name)})",
+                f"(known: {', '.join(FORMATS_BY_NAME)})",
                 file=sys.stderr,
             )
             return 2
-        formats = [by_name[n] for n in names]
+        formats = [FORMATS_BY_NAME[n] for n in names]
     else:
-        formats = list(ALL_FORMATS)
+        formats = list(FORMATS_BY_NAME.values())
     if args.ops:
         ops = [o.strip() for o in args.ops.split(",") if o.strip()]
         bad = [o for o in ops if o not in CAMPAIGN_OPS]
@@ -275,13 +318,7 @@ def verify_command(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _exploration_engine(cache_dir: str | None) -> "Engine":
-    """Engine for the offline exploration twins (serial, optional cache)."""
-    resolved = cache_dir or os.environ.get(CACHE_DIR_ENV)
-    return Engine(cache=ResultCache(resolved) if resolved else None)
-
-
-def explore_command(argv: Sequence[str]) -> int:
+def explore_command(args: argparse.Namespace) -> int:
     """Offline twin of ``GET /v1/explore``: the same NDJSON, on stdout."""
     from repro.explore.catalog import ExploreStream
     from repro.explore.recommend import (
@@ -291,21 +328,6 @@ def explore_command(argv: Sequence[str]) -> int:
     )
     from repro.units.explorer import explore
 
-    parser = argparse.ArgumentParser(
-        prog="repro explore",
-        description="Stream the annotated unit design-space grid as "
-        "NDJSON — one point line per implementation, one frontier "
-        "trailer — exactly the payloads GET /v1/explore streams.",
-    )
-    parser.add_argument("--kinds", default=None, metavar="K,K",
-                        help="comma-separated unit kinds "
-                        "(default: all four)")
-    parser.add_argument("--formats", default=None, metavar="F,F",
-                        help="comma-separated formats (default: all)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist sweep results under DIR "
-                        f"(also via ${CACHE_DIR_ENV})")
-    args = parser.parse_args(argv)
     try:
         kinds = _resolve_kinds(
             [k for k in args.kinds.split(",") if k] if args.kinds else None
@@ -317,7 +339,7 @@ def explore_command(argv: Sequence[str]) -> int:
     except QueryError as exc:
         print(f"repro explore: {exc}", file=sys.stderr)
         return 2
-    engine = _exploration_engine(args.cache_dir)
+    engine = build_engine(args)
     lines = ExploreStream()
     for kind in kinds:
         for fmt in formats:
@@ -328,7 +350,7 @@ def explore_command(argv: Sequence[str]) -> int:
     return 0
 
 
-def recommend_command(argv: Sequence[str]) -> int:
+def recommend_command(args: argparse.Namespace) -> int:
     """Offline twin of ``POST /v1/recommend``: same payload, stdout."""
     from repro.explore.catalog import payload_bytes
     from repro.explore.recommend import (
@@ -337,35 +359,6 @@ def recommend_command(argv: Sequence[str]) -> int:
         recommend,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="repro recommend",
-        description="Answer a constrained design query ('max MOPS/W "
-        "with slices <= 1000 and clock >= 200 MHz') over the cached "
-        "Pareto frontier — byte-identical to POST /v1/recommend.",
-    )
-    parser.add_argument("--space", default="units",
-                        choices=("units", "kernel"))
-    parser.add_argument("--objective", default=None, metavar="METRIC",
-                        help="metric to optimize (default: mops_per_watt "
-                        "for units, energy_nj for kernel)")
-    parser.add_argument("--constrain", action="append", default=[],
-                        metavar="BOUND=VALUE",
-                        help="bound such as max_slices=1000 or "
-                        "min_clock_mhz=200; repeatable")
-    parser.add_argument("--kinds", default=None, metavar="K,K",
-                        help="units space: comma-separated unit kinds")
-    parser.add_argument("--formats", default=None, metavar="F,F",
-                        help="units space: comma-separated formats")
-    parser.add_argument("--n", type=int, default=None,
-                        help="kernel space: problem size (default: 16)")
-    parser.add_argument("--block-sizes", default=None, metavar="B,B",
-                        help="kernel space: comma-separated block sizes")
-    parser.add_argument("--format", default=None, dest="fmt",
-                        help="kernel space: precision (default: fp32)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist engine results under DIR "
-                        f"(also via ${CACHE_DIR_ENV})")
-    args = parser.parse_args(argv)
     query: dict = {"space": args.space}
     if args.objective:
         query["objective"] = args.objective
@@ -391,13 +384,10 @@ def recommend_command(argv: Sequence[str]) -> int:
     if args.n is not None:
         query["n"] = args.n
     if args.block_sizes:
-        sizes = _parse_sizes(args.block_sizes, "--block-sizes")
-        if sizes is None:
-            return 2
-        query["block_sizes"] = list(sizes)
+        query["block_sizes"] = list(args.block_sizes)
     if args.fmt:
         query["format"] = args.fmt
-    engine = _exploration_engine(args.cache_dir)
+    engine = build_engine(args)
     try:
         payload = recommend(query, engine=engine)
     except (QueryError, UnsatisfiableError) as exc:
@@ -407,54 +397,10 @@ def recommend_command(argv: Sequence[str]) -> int:
     return 0
 
 
-def serve_command(argv: Sequence[str]) -> int:
+def serve_command(args: argparse.Namespace) -> int:
     """Run the micro-batching evaluation service (blocks until signal)."""
     from repro.service import ServiceConfig, serve
 
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Serve the FP evaluation surface over HTTP with "
-        "micro-batching, admission control and live /metrics.  Every "
-        "flag falls back to its REPRO_SERVE_* environment variable, "
-        "then to the documented default.",
-    )
-    parser.add_argument("--host", default=None,
-                        help="bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=None,
-                        help="bind port; 0 picks an ephemeral port "
-                        "(default: 8080)")
-    parser.add_argument("--max-batch", type=int, default=None, metavar="N",
-                        help="largest op batch per vectorized call "
-                        "(default: 64)")
-    parser.add_argument("--linger-ms", type=float, default=None, metavar="MS",
-                        help="how long an open batch waits for company "
-                        "(default: 2.0)")
-    parser.add_argument("--queue-depth", type=int, default=None, metavar="N",
-                        help="admitted requests in flight before shedding "
-                        "429s (default: 256)")
-    parser.add_argument("--request-timeout", type=float, default=None,
-                        metavar="S", dest="request_timeout_s",
-                        help="per-op deadline in seconds (default: 10)")
-    parser.add_argument("--sweep-timeout", type=float, default=None,
-                        metavar="S", dest="sweep_timeout_s",
-                        help="unit/experiment sweep deadline (default: 120)")
-    parser.add_argument("--drain-timeout", type=float, default=None,
-                        metavar="S", dest="drain_timeout_s",
-                        help="graceful-shutdown drain budget (default: 5)")
-    parser.add_argument("--no-spot-check", action="store_true",
-                        help="skip the per-batch scalar spot check")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist engine results under DIR "
-                        f"(also via ${CACHE_DIR_ENV})")
-    parser.add_argument("--trace-sample", type=float, default=None,
-                        metavar="P", help="fraction of requests traced, "
-                        "0.0-1.0 (default: 1.0)")
-    parser.add_argument("--trace-buffer", type=int, default=None,
-                        metavar="N", help="finished traces retained for "
-                        "/v1/trace lookups (default: 512)")
-    parser.add_argument("--log-json", action="store_true",
-                        help="emit one NDJSON line per span to stderr")
-    args = parser.parse_args(argv)
     try:
         config = ServiceConfig.from_env(
             host=args.host,
@@ -477,47 +423,10 @@ def serve_command(argv: Sequence[str]) -> int:
     return serve(config)
 
 
-def loadgen_command(argv: Sequence[str]) -> int:
+def loadgen_command(args: argparse.Namespace) -> int:
     """Drive a running server with closed-loop concurrent load."""
-    from repro.fp.rounding import RoundingMode
-    from repro.service.loadgen import (
-        resolve_load_format,
-        run_load_blocking,
-        write_report,
-    )
+    from repro.service.loadgen import run_load_blocking, write_report
 
-    parser = argparse.ArgumentParser(
-        prog="repro loadgen",
-        description="Closed-loop load generator for a running "
-        "'repro serve' instance.  429s count as shed load (the "
-        "backpressure contract working), not failures.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--concurrency", "-c", type=int, default=16,
-                        metavar="N", help="concurrent workers (default: 16)")
-    parser.add_argument("--requests", "-n", type=int, default=1000,
-                        metavar="N", help="total requests (default: 1000)")
-    parser.add_argument("--op", default="mul",
-                        choices=("add", "sub", "mul", "div", "sqrt", "fma"))
-    parser.add_argument("--format", default="fp32", dest="fmt",
-                        help="named paper format (default: fp32)")
-    parser.add_argument("--mode", default=RoundingMode.NEAREST_EVEN.value,
-                        choices=[m.value for m in RoundingMode])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=120.0, metavar="S",
-                        help="whole-run deadline (default: 120)")
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="write the machine-readable report to FILE")
-    parser.add_argument("--trace-ids", action="store_true",
-                        help="send an explicit X-Repro-Trace-Id per "
-                        "request and count echoed responses")
-    args = parser.parse_args(argv)
-    fmt = resolve_load_format(args.fmt)
-    if fmt is None:
-        print(f"repro loadgen: unknown format {args.fmt!r}", file=sys.stderr)
-        return 2
-    mode = {m.value: m for m in RoundingMode}[args.mode]
     try:
         report = run_load_blocking(
             args.host,
@@ -525,8 +434,8 @@ def loadgen_command(argv: Sequence[str]) -> int:
             concurrency=args.concurrency,
             requests=args.requests,
             op=args.op,
-            fmt=fmt,
-            mode=mode,
+            fmt=FORMATS_BY_NAME[args.fmt],
+            mode=RoundingMode(args.mode),
             seed=args.seed,
             timeout_s=args.timeout,
             trace_ids=args.trace_ids,
@@ -548,31 +457,12 @@ def loadgen_command(argv: Sequence[str]) -> int:
     return 1 if (report.errors or unhealthy) else 0
 
 
-def trace_command(argv: Sequence[str]) -> int:
+def trace_command(args: argparse.Namespace) -> int:
     """Fetch traces from a running server and render or export them."""
     import json as json_module
     from http.client import HTTPConnection
 
     from repro.obs.trace import render_trace
-
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Inspect request traces on a live 'repro serve' "
-        "instance: render one trace's span tree, list the slowest "
-        "buffered traces, or export them as Chrome trace-event JSON "
-        "(load into chrome://tracing or Perfetto).",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--id", default=None, metavar="TRACE_ID",
-                        help="render one trace by ID")
-    parser.add_argument("--slowest", type=int, default=10, metavar="N",
-                        help="without --id: cover the N slowest buffered "
-                        "traces (default: 10)")
-    parser.add_argument("--chrome", default=None, metavar="FILE",
-                        help="write Chrome trace-event JSON to FILE "
-                        "instead of rendering text")
-    args = parser.parse_args(argv)
 
     if args.id is not None:
         path = f"/v1/trace/{args.id}"
@@ -619,227 +509,266 @@ def trace_command(argv: Sequence[str]) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "--version":
-        print(__version__)
-        return 0
-    if argv and argv[0] == "serve":
-        return serve_command(argv[1:])
-    if argv and argv[0] == "loadgen":
-        return loadgen_command(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_command(argv[1:])
-    if argv and argv[0] == "explore":
-        return explore_command(argv[1:])
-    if argv and argv[0] == "recommend":
-        return recommend_command(argv[1:])
+def build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser], argparse.ArgumentParser
+]:
+    """The command table, as ``(parser, commands, experiments)``.
+
+    ``parser`` holds one subparser per command and ``commands`` maps each
+    command name to its subparser; ``experiments`` parses the default
+    command, which runs when the first argument names no command.  Every
+    parsed namespace carries ``run``, the function that executes it.
+    """
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument("--cache-dir", metavar="DIR",
+                           help="directory of the persistent engine result "
+                           f"cache (also via ${CACHE_DIR_ENV})")
+    engine = argparse.ArgumentParser(add_help=False, parents=[cache_dir])
+    engine.add_argument("--parallel", "-j", dest="workers", type=_int_at_least(1),
+                        default=1, metavar="N",
+                        help="evaluate engine jobs on N worker processes "
+                        "(default: 1, serial)")
+    engine.add_argument("--no-cache", action="store_true",
+                        help="ignore any configured cache directory")
+    engine.add_argument("--timeout", dest="timeout_s", type=float, metavar="S",
+                        help="per-job wall-time cap in seconds (parallel runs)")
+    engine.add_argument("--retries", type=_int_at_least(0), default=1, metavar="K",
+                        help="re-attempts per failing job (default: 1)")
+
+    experiments = argparse.ArgumentParser(
+        prog="repro", description=DESCRIPTION, parents=[engine],
+        epilog="'repro --help' lists the other commands.",
+    )
+    experiments.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
+                             help="experiment names (see 'repro list') or "
+                             "'all'; none lists the experiments")
+    experiments.add_argument("--csv", action="store_true",
+                             help="emit CSV instead of text tables")
+    experiments.set_defaults(run=experiments_command)
+
     parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate the tables and figures of Govindu et al., "
-        "'Analysis of High-performance Floating-point Arithmetic on FPGAs' "
-        "(IPPS 2004).",
+        prog="repro", description=DESCRIPTION,
+        epilog="With no command, or with an experiment name, 'all' or an "
+        "option first, repro runs experiments: see 'repro all --help'.",
     )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        default=["list"],
-        help="experiment names (see 'repro list'), 'all', 'results' to "
-        "write every artifact to --outdir, 'cache {stats,clear}', "
-        "'verify' for the differential verification campaigns, or "
-        "'bench' for a perf snapshot (kernel suite by default; "
-        "--lanes, --service or --explore picks another)",
-    )
-    parser.add_argument(
-        "--version", action="version", version=__version__,
-        help="print the package version and exit",
-    )
-    parser.add_argument(
-        "--csv", action="store_true", help="emit CSV instead of text tables"
-    )
-    parser.add_argument(
-        "--outdir",
-        default="results",
-        help="output directory for the 'results' command (default: results/)",
-    )
-    parser.add_argument(
-        "--parallel",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help="evaluate experiments on N worker processes (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist results under DIR and reuse them on reruns "
-        f"(also via ${CACHE_DIR_ENV}; 'repro cache' defaults to "
-        f"{DEFAULT_CACHE_DIR}/)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore any configured cache directory",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-experiment wall-time cap in seconds (parallel runs)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="K",
-        help="re-attempts per failing experiment (default: 1)",
-    )
-    parser.add_argument(
-        "--stale",
-        action="store_true",
-        help="with 'cache clear': only drop entries from older versions",
-    )
-    parser.add_argument(
-        "--formats",
-        default=None,
-        metavar="F,F",
-        help="with 'verify': comma-separated formats (default: all paper formats)",
-    )
-    parser.add_argument(
-        "--ops",
-        default=None,
-        metavar="OP,OP",
-        help="with 'verify': comma-separated ops among "
-        "add,sub,mul,div,sqrt,fma (default: all)",
-    )
-    parser.add_argument(
-        "--pairs",
-        type=int,
-        default=1_000_000,
-        metavar="N",
-        help="with 'verify': operand pairs per format (default: 1000000)",
-    )
-    parser.add_argument(
-        "--chunk",
-        type=int,
-        default=50_000,
-        metavar="N",
-        help="with 'verify': pairs per engine job (default: 50000)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="S",
-        help="with 'verify'/'bench': base seed (default: 0)",
-    )
-    parser.add_argument(
-        "--kernels",
-        action="store_true",
-        help="with 'verify': run the batched-vs-stepped array "
-        "differential matrix instead of the datapath campaign",
-    )
-    suite = parser.add_mutually_exclusive_group()
-    suite.add_argument(
-        "--lanes",
-        dest="suite",
-        action="store_const",
-        const="lanes",
-        help="with 'bench': benchmark add/sub/mul of every narrow-lane "
-        "format on its native lane dtype against uint64 lanes",
-    )
-    suite.add_argument(
-        "--service",
-        dest="suite",
-        action="store_const",
-        const="service",
-        help="with 'bench': benchmark the serving layer (batched vs "
-        "unbatched dispatch, plus full-HTTP loopback throughput) "
-        "instead of the kernels",
-    )
-    suite.add_argument(
-        "--explore",
-        dest="suite",
-        action="store_const",
-        const="explore",
-        help="with 'bench': benchmark cold vs warm design-space "
-        "frontier computation and constrained recommendation",
-    )
-    parser.set_defaults(suite="kernel")
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="with 'bench': write the machine-readable snapshot to FILE",
-    )
-    parser.add_argument(
-        "--bench-sizes",
-        default="16,32",
-        metavar="N,N",
-        help="with 'bench': stepped-vs-batched sizes (default: 16,32)",
-    )
-    parser.add_argument(
-        "--scan-sizes",
-        default="64,128,256",
-        metavar="N,N",
-        help="with 'bench': batched-only scaling sizes "
-        "(default: 64,128,256; empty string to skip)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="K",
-        help="with 'bench': batched timing repeats, best-of (default: 3)",
-    )
-    args = parser.parse_args(argv)
-    if args.parallel < 1:
-        parser.error(f"--parallel must be >= 1, got {args.parallel}")
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
+    parser.add_argument("--version", action="version", version=__version__,
+                        help="print the package version and exit")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND")
 
-    names = list(args.experiments)
-    if names == ["verify"]:
-        if args.pairs < 1 or args.chunk < 1:
-            parser.error("--pairs and --chunk must be >= 1")
-        return verify_command(args)
-    if names == ["bench"]:
-        if args.repeats < 1:
-            print(f"--repeats must be >= 1, got {args.repeats}", file=sys.stderr)
-            return 2
-        args.bench_sizes = _parse_sizes(args.bench_sizes, "--bench-sizes")
-        args.scan_sizes = (
-            _parse_sizes(args.scan_sizes, "--scan-sizes")
-            if args.scan_sizes else ()
-        )
-        if args.bench_sizes is None or args.scan_sizes is None:
-            return 2
-        return bench_command(args)
-    if names and names[0] == "cache":
-        if len(names) != 2:
-            print("usage: repro cache {stats,clear}", file=sys.stderr)
-            return 2
-        return cache_command(names[1], args)
-    if names == ["list"]:
-        print("available experiments:")
-        for name in REGISTRY:
-            print(f"  {name}")
-        return 0
-    if names == ["results"]:
-        return write_results(args.outdir, args)
-    if names == ["all"]:
-        names = list(REGISTRY)
+    def command(name: str, run: Callable[[argparse.Namespace], int],
+                summary: str, description: str | None = None,
+                parents: Sequence[argparse.ArgumentParser] = ()):
+        sub = commands.add_parser(name, help=summary, parents=list(parents),
+                                  description=description or summary)
+        sub.set_defaults(run=run)
+        return sub
 
-    unknown = [n for n in names if n not in REGISTRY]
-    if unknown:
-        print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(REGISTRY)}", file=sys.stderr)
-        return 2
+    command("list", list_command, "enumerate the experiments")
 
-    return run_experiments(names, args)
+    results = command("results", results_command,
+                      "write every experiment's text and CSV artifacts",
+                      parents=[engine])
+    results.add_argument("--outdir", default="results",
+                         help="output directory (default: results/)")
+
+    cache = command("cache", cache_command,
+                    "inspect or clear the persistent result cache",
+                    description="Inspect or clear the persistent result "
+                    f"cache: --cache-dir, else ${CACHE_DIR_ENV}, else "
+                    f"{DEFAULT_CACHE_DIR}/.")
+    actions = cache.add_subparsers(dest="action", required=True,
+                                   metavar="{stats,clear}")
+    actions.add_parser("stats", parents=[cache_dir],
+                       help="entries, size and versions in the cache")
+    actions.add_parser("clear", parents=[cache_dir],
+                       help="drop cache entries").add_argument(
+        "--stale", action="store_true",
+        help="only drop entries from older versions")
+
+    verify = command("verify", verify_command,
+                     "differential verification campaigns",
+                     description="Sweep the vectorized datapaths against "
+                     "the scalar ones and the exact oracles, or (--kernels) "
+                     "the batched matmul array against the stepped one.",
+                     parents=[engine])
+    verify.add_argument("--formats", metavar="F,F",
+                        help="comma-separated formats (default: all paper formats)")
+    verify.add_argument("--ops", metavar="OP,OP",
+                        help="comma-separated ops among add,sub,mul,div,sqrt,fma "
+                        "(default: all)")
+    verify.add_argument("--pairs", type=_int_at_least(1), default=1_000_000,
+                        metavar="N",
+                        help="operand pairs per format (default: 1000000)")
+    verify.add_argument("--chunk", type=_int_at_least(1), default=50_000,
+                        metavar="N", help="pairs per engine job (default: 50000)")
+    verify.add_argument("--seed", type=int, default=0, metavar="S",
+                        help="base seed (default: 0)")
+    verify.add_argument("--kernels", action="store_true",
+                        help="run the batched-vs-stepped array differential "
+                        "matrix instead of the datapath campaign")
+
+    bench = command("bench", bench_command,
+                    "one perf-snapshot suite (kernel by default)")
+    suite = bench.add_mutually_exclusive_group()
+    suite.add_argument("--lanes", dest="suite", action="store_const",
+                       const="lanes",
+                       help="benchmark add/sub/mul of every narrow-lane "
+                       "format on its native lane dtype against uint64 lanes")
+    suite.add_argument("--service", dest="suite", action="store_const",
+                       const="service",
+                       help="benchmark the serving layer (batched vs "
+                       "unbatched dispatch, plus full-HTTP loopback "
+                       "throughput) instead of the kernels")
+    suite.add_argument("--explore", dest="suite", action="store_const",
+                       const="explore",
+                       help="benchmark cold vs warm design-space frontier "
+                       "computation and constrained recommendation")
+    bench.set_defaults(suite="kernel")
+    bench.add_argument("--json", metavar="FILE",
+                       help="write the machine-readable snapshot to FILE")
+    bench.add_argument("--bench-sizes", type=_sizes, default="16,32",
+                       metavar="N,N",
+                       help="stepped-vs-batched sizes (default: 16,32)")
+    bench.add_argument("--scan-sizes", type=lambda text: _sizes(text) if text else (),
+                       default="64,128,256", metavar="N,N",
+                       help="batched-only scaling sizes (default: 64,128,256; "
+                       "empty string to skip)")
+    bench.add_argument("--repeats", type=_int_at_least(1), default=3, metavar="K",
+                       help="batched timing repeats, best-of (default: 3)")
+    bench.add_argument("--seed", type=int, default=0, metavar="S",
+                       help="base seed (default: 0)")
+
+    serve = command("serve", serve_command,
+                    "micro-batching evaluation service over HTTP",
+                    description="Serve the FP evaluation surface over HTTP "
+                    "with micro-batching, admission control and live "
+                    "/metrics.  Every flag falls back to its REPRO_SERVE_* "
+                    "environment variable, then to the documented default.",
+                    parents=[cache_dir])
+    serve.add_argument("--host", help="bind address (default: 127.0.0.1)")
+    serve.add_argument("--port", type=int,
+                       help="bind port; 0 picks an ephemeral port (default: 8080)")
+    serve.add_argument("--max-batch", type=int, metavar="N",
+                       help="largest op batch per vectorized call (default: 64)")
+    serve.add_argument("--linger-ms", type=float, metavar="MS",
+                       help="how long an open batch waits for company "
+                       "(default: 2.0)")
+    serve.add_argument("--queue-depth", type=int, metavar="N",
+                       help="admitted requests in flight before shedding "
+                       "429s (default: 256)")
+    serve.add_argument("--request-timeout", type=float, metavar="S",
+                       dest="request_timeout_s",
+                       help="per-op deadline in seconds (default: 10)")
+    serve.add_argument("--sweep-timeout", type=float, metavar="S",
+                       dest="sweep_timeout_s",
+                       help="unit/experiment sweep deadline (default: 120)")
+    serve.add_argument("--drain-timeout", type=float, metavar="S",
+                       dest="drain_timeout_s",
+                       help="graceful-shutdown drain budget (default: 5)")
+    serve.add_argument("--no-spot-check", action="store_true",
+                       help="skip the per-batch scalar spot check")
+    serve.add_argument("--trace-sample", type=float, metavar="P",
+                       help="fraction of requests traced, 0.0-1.0 (default: 1.0)")
+    serve.add_argument("--trace-buffer", type=int, metavar="N",
+                       help="finished traces retained for /v1/trace lookups "
+                       "(default: 512)")
+    serve.add_argument("--log-json", action="store_true",
+                       help="emit one NDJSON line per span to stderr")
+
+    loadgen = command("loadgen", loadgen_command,
+                      "drive a running server with closed-loop load",
+                      description="Closed-loop load generator for a running "
+                      "'repro serve' instance.  429s count as shed load (the "
+                      "backpressure contract working), not failures.")
+    loadgen.add_argument("--host", default="127.0.0.1")
+    loadgen.add_argument("--port", type=int, required=True)
+    loadgen.add_argument("--concurrency", "-c", type=int, default=16, metavar="N",
+                         help="concurrent workers (default: 16)")
+    loadgen.add_argument("--requests", "-n", type=int, default=1000, metavar="N",
+                         help="total requests (default: 1000)")
+    loadgen.add_argument("--op", default="mul",
+                         choices=("add", "sub", "mul", "div", "sqrt", "fma"))
+    loadgen.add_argument("--format", default="fp32", dest="fmt",
+                         choices=FORMATS_BY_NAME,
+                         help="named paper format (default: fp32)")
+    loadgen.add_argument("--mode", default=RoundingMode.NEAREST_EVEN.value,
+                         choices=[m.value for m in RoundingMode])
+    loadgen.add_argument("--seed", type=int, default=0)
+    loadgen.add_argument("--timeout", type=float, default=120.0, metavar="S",
+                         help="whole-run deadline (default: 120)")
+    loadgen.add_argument("--json", metavar="FILE",
+                         help="write the machine-readable report to FILE")
+    loadgen.add_argument("--trace-ids", action="store_true",
+                         help="send an explicit X-Repro-Trace-Id per request "
+                         "and count echoed responses")
+
+    trace = command("trace", trace_command,
+                    "inspect request traces on a running server",
+                    description="Inspect request traces on a live 'repro "
+                    "serve' instance: render one trace's span tree, list the "
+                    "slowest buffered traces, or export them as Chrome "
+                    "trace-event JSON (load into chrome://tracing or Perfetto).")
+    trace.add_argument("--host", default="127.0.0.1")
+    trace.add_argument("--port", type=int, required=True)
+    trace.add_argument("--id", metavar="TRACE_ID", help="render one trace by ID")
+    trace.add_argument("--slowest", type=int, default=10, metavar="N",
+                       help="without --id: cover the N slowest buffered "
+                       "traces (default: 10)")
+    trace.add_argument("--chrome", metavar="FILE",
+                       help="write Chrome trace-event JSON to FILE instead "
+                       "of rendering text")
+
+    explore = command("explore", explore_command,
+                      "stream the unit design-space grid as NDJSON",
+                      description="Stream the annotated unit design-space "
+                      "grid as NDJSON — one point line per implementation, "
+                      "one frontier trailer — exactly the payloads GET "
+                      "/v1/explore streams.",
+                      parents=[cache_dir])
+    explore.add_argument("--kinds", metavar="K,K",
+                         help="comma-separated unit kinds (default: all four)")
+    explore.add_argument("--formats", metavar="F,F",
+                         help="comma-separated formats (default: all)")
+
+    recommend = command("recommend", recommend_command,
+                        "answer a constrained design query",
+                        description="Answer a constrained design query ('max "
+                        "MOPS/W with slices <= 1000 and clock >= 200 MHz') "
+                        "over the cached Pareto frontier — byte-identical to "
+                        "POST /v1/recommend.",
+                        parents=[cache_dir])
+    recommend.add_argument("--space", default="units", choices=("units", "kernel"))
+    recommend.add_argument("--objective", metavar="METRIC",
+                           help="metric to optimize (default: mops_per_watt "
+                           "for units, energy_nj for kernel)")
+    recommend.add_argument("--constrain", action="append", default=[],
+                           metavar="BOUND=VALUE",
+                           help="bound such as max_slices=1000 or "
+                           "min_clock_mhz=200; repeatable")
+    recommend.add_argument("--kinds", metavar="K,K",
+                           help="units space: comma-separated unit kinds")
+    recommend.add_argument("--formats", metavar="F,F",
+                           help="units space: comma-separated formats")
+    recommend.add_argument("--n", type=int,
+                           help="kernel space: problem size (default: 16)")
+    recommend.add_argument("--block-sizes", type=_sizes, metavar="B,B",
+                           help="kernel space: comma-separated block sizes")
+    recommend.add_argument("--format", dest="fmt",
+                           help="kernel space: precision (default: fp32)")
+    return parser, commands.choices, experiments
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Parse ``argv`` against the command table and run the command."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands, experiments = build_parser()
+    if not argv or argv[0] not in {*commands, "-h", "--help", "--version"}:
+        parser = experiments
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, --version and usage errors
+        return exc.code
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

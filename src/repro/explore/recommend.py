@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.engine import CACHE_VERSION, Engine, default_engine
 from repro.explore import catalog as _catalog
 from repro.explore.frontier import argbest
-from repro.fp.format import ALL_FORMATS, FPFormat
+from repro.fp.format import FORMATS_BY_NAME, FPFormat
 from repro.obs.trace import NULL_TRACE
 from repro.units.explorer import UnitKind
 
@@ -157,19 +157,18 @@ def _resolve_kinds(raw: object) -> Tuple[UnitKind, ...]:
 
 def _resolve_formats(raw: object) -> Tuple[FPFormat, ...]:
     if raw is None:
-        return tuple(ALL_FORMATS)
-    by_name = {f.name: f for f in ALL_FORMATS}
+        return tuple(FORMATS_BY_NAME.values())
     if not isinstance(raw, (list, tuple)) or not raw:
         raise QueryError(
-            f"formats must be a non-empty list among {', '.join(by_name)}"
+            f"formats must be a non-empty list among {', '.join(FORMATS_BY_NAME)}"
         )
-    unknown = [f for f in raw if f not in by_name]
+    unknown = [f for f in raw if f not in FORMATS_BY_NAME]
     if unknown:
         raise QueryError(
             f"unknown formats: {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(by_name)})"
+            f"(known: {', '.join(FORMATS_BY_NAME)})"
         )
-    return tuple(by_name[f] for f in raw)
+    return tuple(FORMATS_BY_NAME[f] for f in raw)
 
 
 def frontier_for_query(query: dict, engine: Optional[Engine] = None):
@@ -193,14 +192,13 @@ def frontier_for_query(query: dict, engine: Optional[Engine] = None):
         ):
             raise QueryError("block_sizes must be a non-empty list of ints >= 1")
         fmt = query.get("format", "fp32")
-        by_name = {f.name: f for f in ALL_FORMATS}
-        if fmt not in by_name:
+        if fmt not in FORMATS_BY_NAME:
             raise QueryError(
-                f"unknown format {fmt!r} (known: {', '.join(by_name)})"
+                f"unknown format {fmt!r} (known: {', '.join(FORMATS_BY_NAME)})"
             )
         try:
             job = _catalog.kernel_frontier_job(
-                n=n, block_sizes=tuple(block_sizes), fmt=by_name[fmt]
+                n=n, block_sizes=tuple(block_sizes), fmt=FORMATS_BY_NAME[fmt]
             )
         except ValueError as exc:
             raise QueryError(str(exc)) from exc

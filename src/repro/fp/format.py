@@ -191,3 +191,6 @@ SMALL_FORMATS: tuple[FPFormat, ...] = (FP16, BF16)
 
 #: Every named format the verification campaigns and the service know.
 ALL_FORMATS: tuple[FPFormat, ...] = SMALL_FORMATS + PAPER_FORMATS
+
+#: Each of :data:`ALL_FORMATS` by its name (``"fp32"``), in the same order.
+FORMATS_BY_NAME: dict[str, FPFormat] = {f.name: f for f in ALL_FORMATS}

@@ -39,7 +39,7 @@ from repro.explore.recommend import (
 )
 from repro.obs.trace import NULL_TRACE
 from repro.service.admission import ADMIT_DRAINING, ADMIT_OK
-from repro.fp.format import ALL_FORMATS, FPFormat
+from repro.fp.format import FORMATS_BY_NAME, FPFormat
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import check_vectorized_format
 from repro.kernels.batched import array_cycles, hazard_count
@@ -71,7 +71,6 @@ class StreamReply:
     chunks: AsyncIterator[bytes]
     extra: Tuple[Tuple[str, str], ...] = field(default=())
 
-_FORMATS_BY_NAME: Dict[str, FPFormat] = {f.name: f for f in ALL_FORMATS}
 _MODES = {m.value: m for m in RoundingMode}
 _CUSTOM_FORMATS: Dict[Tuple[int, int], FPFormat] = {}
 #: Request-body operand keys in positional order; an op of arity k
@@ -82,12 +81,12 @@ _OPERAND_KEYS = ("a", "b", "c")
 def resolve_format(spec: object) -> FPFormat:
     """A format from its request spelling: name or explicit geometry."""
     if isinstance(spec, str):
-        fmt = _FORMATS_BY_NAME.get(spec)
+        fmt = FORMATS_BY_NAME.get(spec)
         if fmt is None:
             raise ProtocolError(
                 400,
                 f"unknown format {spec!r} (named formats: "
-                f"{', '.join(_FORMATS_BY_NAME)}; or pass "
+                f"{', '.join(FORMATS_BY_NAME)}; or pass "
                 '{"exp_bits": E, "man_bits": M})',
             )
         return fmt

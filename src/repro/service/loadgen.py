@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.fp.format import ALL_FORMATS, FP32, FPFormat
+from repro.fp.format import FP32, FPFormat
 from repro.fp.rounding import RoundingMode
 from repro.service.batcher import OP_ARITY
 
@@ -237,10 +237,6 @@ async def run_load(
 def run_load_blocking(host: str, port: int, **kwargs) -> LoadReport:
     """Synchronous wrapper: run the load on a private event loop."""
     return asyncio.run(run_load(host, port, **kwargs))
-
-
-def resolve_load_format(name: str) -> Optional[FPFormat]:
-    return {f.name: f for f in ALL_FORMATS}.get(name)
 
 
 def write_report(report: LoadReport, path: str) -> None:

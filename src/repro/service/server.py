@@ -39,13 +39,23 @@ from repro.service.config import ServiceConfig
 from repro.service.handlers import Handlers, Reply, StreamReply, _error_reply
 from repro.service.http import (
     LAST_CHUNK,
+    REASONS,
     ProtocolError,
     build_response,
     build_stream_head,
     encode_chunk,
+    json_body,
     read_request,
 )
 from repro.service.telemetry import Telemetry
+
+#: The last NDJSON line of a stream cut short by a sweep deadline: the
+#: body a non-streamed 504 carries, tagged ``"type": "error"``.
+STREAM_TIMEOUT_LINE = json_body({
+    "type": "error",
+    "error": REASONS[504],
+    "detail": "request deadline exceeded",
+}) + b"\n"
 
 
 def route_label(path: str) -> str:
@@ -257,17 +267,25 @@ class ReproService:
             )
         )
         completed = False
+        status = reply.status
         try:
-            async for chunk in reply.chunks:
-                writer.write(encode_chunk(chunk))
-                await writer.drain()
+            try:
+                async for chunk in reply.chunks:
+                    writer.write(encode_chunk(chunk))
+                    await writer.drain()
+            except asyncio.TimeoutError:
+                # The head already said 200, so a sweep past its deadline
+                # is reported in-band: one error line, then a proper end.
+                status = 504
+                self.telemetry.timeout_total.inc()
+                writer.write(encode_chunk(STREAM_TIMEOUT_LINE))
             writer.write(LAST_CHUNK)
             await writer.drain()
             completed = True
         finally:
             await reply.chunks.aclose()
-            self.tracer.finish(trace, status=reply.status)
-            self.telemetry.requests_total.inc((route, str(reply.status)))
+            self.tracer.finish(trace, status=status)
+            self.telemetry.requests_total.inc((route, str(status)))
         return completed and keep_alive
 
     async def _safe_handle(self, request) -> Reply:

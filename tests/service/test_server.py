@@ -164,13 +164,26 @@ class TestOperational:
         started, gate = _gate_sweeps(monkeypatch)
         with ServiceThread(ServiceConfig(port=0, sweep_timeout_s=0.25)) as thread:
             thread.service.sweep_pool.submit(lambda: None).result()
+            telemetry = thread.service.telemetry
             try:
                 # The stream's head is already out when its first sweep
-                # times out, so the body ends short instead of a 504.
-                with pytest.raises(http.client.HTTPException):
-                    request(thread, "GET", "/v1/explore?kinds=adder&formats=fp16")
+                # times out, so the 504 arrives as an in-band error line
+                # and the chunked body still ends properly.
+                status, data, _ = request(
+                    thread, "GET", "/v1/explore?kinds=adder&formats=fp16"
+                )
+                assert status == 200
+                assert [json.loads(line) for line in data.splitlines()] == [{
+                    "type": "error",
+                    "error": "Gateway Timeout",
+                    "detail": "request deadline exceeded",
+                }]
                 assert started.is_set()
-                assert thread.service.admission.in_flight == 1
+                assert telemetry.timeout_total.total == 1
+                _wait_for(lambda: telemetry.requests_total.value(
+                    ("/v1/explore", "504")) == 1)
+                assert telemetry.requests_total.value(("/v1/explore", "200")) == 0
+                _wait_for(lambda: thread.service.admission.in_flight == 1)
             finally:
                 gate.set()
             thread.service.sweep_pool.submit(lambda: None).result()

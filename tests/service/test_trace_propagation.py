@@ -10,9 +10,9 @@ holds.
 
 import json
 
+from repro.fp.format import FORMATS_BY_NAME
 from repro.obs.trace import REQUEST_STAGES
 from repro.service import ServiceConfig, ServiceThread, run_load_blocking
-from repro.service.loadgen import resolve_load_format
 from tests.service.helpers import request
 
 
@@ -159,7 +159,7 @@ class TestLoadgenPropagation:
     def test_loadgen_trace_ids_are_echoed(self, server):
         report = run_load_blocking(
             "127.0.0.1", server.port, concurrency=4, requests=40,
-            fmt=resolve_load_format("fp32"), seed=7, trace_ids=True,
+            fmt=FORMATS_BY_NAME["fp32"], seed=7, trace_ids=True,
         )
         assert report.requests == 40
         assert report.errors == 0

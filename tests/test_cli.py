@@ -1,9 +1,17 @@
 """Unit tests for the command-line runner."""
 
+import re
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.engine import CACHE_DIR_ENV, configure_default_engine
+from repro.experiments import REGISTRY
+
+#: Every ``repro`` command; the experiments command runs whenever the
+#: first argument names none of them.
+COMMANDS = ("list", "results", "cache", "verify", "bench", "serve",
+            "loadgen", "trace", "explore", "recommend")
 
 
 class TestCli:
@@ -128,7 +136,8 @@ class TestCliEngine:
         assert main(["cache"]) == 2
         assert "usage: repro cache" in capsys.readouterr().err
         assert main(["cache", "defrost"]) == 2
-        assert "unknown cache action" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "repro cache" in err and "'defrost'" in err
 
 
 class TestCliVerify:
@@ -255,9 +264,7 @@ class TestCliBench:
         assert "--repeats" in capsys.readouterr().err
 
     def test_bench_suite_flags_are_exclusive(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--lanes", "--service"])
-        assert exc.value.code == 2
+        assert main(["bench", "--lanes", "--service"]) == 2
         err = capsys.readouterr().err
         assert "--lanes" in err and "--service" in err
         assert "not allowed with" in err
@@ -291,3 +298,61 @@ class TestCliService:
         # A port nothing listens on: transport failure, exit code 1.
         assert main(["loadgen", "--port", "1", "--requests", "4",
                      "--concurrency", "2", "--timeout", "10"]) == 1
+
+
+class TestCommandTable:
+    """One parser per command: an option it does not read is a usage error."""
+
+    def test_table_holds_every_command(self):
+        assert set(build_parser()[1]) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert f"usage: repro {command}" in capsys.readouterr().out
+
+    def test_experiments_help(self, capsys):
+        assert main(["all", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--csv" in out and "--parallel" in out
+        assert "--pairs" not in out
+
+    def test_top_level_help_names_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for command in COMMANDS:
+            assert re.search(rf"^ +{command}\b", out, re.M), command
+
+    def test_command_names_are_not_experiment_names(self):
+        assert not set(COMMANDS) & set(REGISTRY)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["table3", "--pairs", "0"], "--pairs"),
+        (["bench", "--parallel", "2"], "--parallel"),
+        (["list", "--csv"], "--csv"),
+        (["explore", "--no-cache"], "--no-cache"),
+        (["cache", "stats", "--stale"], "--stale"),
+    ])
+    def test_unread_option_is_a_usage_error(self, argv, flag, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
+    def test_cache_rejects_no_cache(self, tmp_path, capsys):
+        # `cache` always has a directory to act on, so --no-cache is not
+        # one of its options.
+        argv = ["cache", "stats", "--cache-dir", str(tmp_path), "--no-cache"]
+        assert main(argv) == 2
+        assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["all", "--parallel", "0"], "--parallel"),
+        (["results", "--retries", "-1"], "--retries"),
+        (["verify", "--pairs", "0"], "--pairs"),
+        (["verify", "--chunk", "many"], "--chunk"),
+        (["bench", "--scan-sizes", "8,-1"], "--scan-sizes"),
+        (["recommend", "--block-sizes", "0"], "--block-sizes"),
+    ])
+    def test_range_checks_name_the_flag(self, argv, flag, capsys):
+        assert main(argv) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
