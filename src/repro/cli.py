@@ -218,20 +218,46 @@ def _sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-#: ``repro bench`` suites: each runs one suite of :mod:`repro.bench`
-#: from the parsed arguments and returns its snapshot.
+class _Noted(argparse.Action):
+    """``store`` that also notes the flag in ``namespace.given``, so a
+    mode that reads only some of its command's options can reject the
+    others (see :func:`_unread_options`)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {
+            **getattr(namespace, "given", {}), self.dest: self.option_strings[0]
+        }
+
+
+def _unread_options(
+    args: argparse.Namespace, reads: set[str], mode: str, command: str
+) -> bool:
+    """Report noted options whose dest ``mode`` does not read; True if any."""
+    unread = [flag for dest, flag in getattr(args, "given", {}).items()
+              if dest not in reads]
+    if unread:
+        print(f"repro {command}: error: {mode} does not read "
+              f"{', '.join(unread)}", file=sys.stderr)
+    return bool(unread)
+
+
+#: ``repro bench`` suites: the tuning options each suite reads, and how
+#: it runs one suite of :mod:`repro.bench` from them.
 SUITES = {
-    "kernel": lambda bench, args: bench.kernel_bench(
-        sizes=args.bench_sizes,
-        scan_sizes=args.scan_sizes,
-        repeats=args.repeats,
-        seed=args.seed,
-    ),
-    "lanes": lambda bench, args: bench.lanes_bench(
+    "kernel": ({"bench_sizes", "scan_sizes", "repeats", "seed"},
+               lambda bench, args: bench.kernel_bench(
+                   sizes=args.bench_sizes,
+                   scan_sizes=args.scan_sizes,
+                   repeats=args.repeats,
+                   seed=args.seed,
+               )),
+    "lanes": ({"repeats", "seed"}, lambda bench, args: bench.lanes_bench(
         repeats=args.repeats, seed=args.seed
-    ),
-    "service": lambda bench, args: bench.service_bench(seed=args.seed),
-    "explore": lambda bench, args: bench.explore_bench(repeats=args.repeats),
+    )),
+    "service": ({"seed"}, lambda bench, args: bench.service_bench(seed=args.seed)),
+    "explore": ({"repeats"},
+                lambda bench, args: bench.explore_bench(repeats=args.repeats)),
 }
 
 
@@ -239,7 +265,10 @@ def bench_command(args: argparse.Namespace) -> int:
     """Run one bench suite; optionally write its JSON snapshot."""
     from repro import bench
 
-    snapshot = SUITES[args.suite](bench, args)
+    reads, run = SUITES[args.suite]
+    if _unread_options(args, reads, f"--{args.suite}", "bench"):
+        return 2
+    snapshot = run(bench, args)
     print(bench.render(snapshot))
     if args.json:
         bench.write_snapshot(snapshot, args.json)
@@ -251,6 +280,8 @@ def verify_kernels_command(args: argparse.Namespace) -> int:
     """Run the batched-vs-stepped array differential matrix."""
     from repro.verify.kernels import run_matrix
 
+    if _unread_options(args, set(), "--kernels", "verify"):
+        return 2
     engine = build_engine(args)
     report = run_matrix(seed=args.seed, engine=engine)
     print(report.summary())
@@ -591,16 +622,17 @@ def build_parser() -> tuple[
                      "the scalar ones and the exact oracles, or (--kernels) "
                      "the batched matmul array against the stepped one.",
                      parents=[engine])
-    verify.add_argument("--formats", metavar="F,F",
+    verify.add_argument("--formats", action=_Noted, metavar="F,F",
                         help="comma-separated formats (default: all paper formats)")
-    verify.add_argument("--ops", metavar="OP,OP",
+    verify.add_argument("--ops", action=_Noted, metavar="OP,OP",
                         help="comma-separated ops among add,sub,mul,div,sqrt,fma "
                         "(default: all)")
-    verify.add_argument("--pairs", type=_int_at_least(1), default=1_000_000,
-                        metavar="N",
+    verify.add_argument("--pairs", action=_Noted, type=_int_at_least(1),
+                        default=1_000_000, metavar="N",
                         help="operand pairs per format (default: 1000000)")
-    verify.add_argument("--chunk", type=_int_at_least(1), default=50_000,
-                        metavar="N", help="pairs per engine job (default: 50000)")
+    verify.add_argument("--chunk", action=_Noted, type=_int_at_least(1),
+                        default=50_000, metavar="N",
+                        help="pairs per engine job (default: 50000)")
     verify.add_argument("--seed", type=int, default=0, metavar="S",
                         help="base seed (default: 0)")
     verify.add_argument("--kernels", action="store_true",
@@ -626,16 +658,18 @@ def build_parser() -> tuple[
     bench.set_defaults(suite="kernel")
     bench.add_argument("--json", metavar="FILE",
                        help="write the machine-readable snapshot to FILE")
-    bench.add_argument("--bench-sizes", type=_sizes, default="16,32",
-                       metavar="N,N",
+    bench.add_argument("--bench-sizes", action=_Noted, type=_sizes,
+                       default="16,32", metavar="N,N",
                        help="stepped-vs-batched sizes (default: 16,32)")
-    bench.add_argument("--scan-sizes", type=lambda text: _sizes(text) if text else (),
+    bench.add_argument("--scan-sizes", action=_Noted,
+                       type=lambda text: _sizes(text) if text else (),
                        default="64,128,256", metavar="N,N",
                        help="batched-only scaling sizes (default: 64,128,256; "
                        "empty string to skip)")
-    bench.add_argument("--repeats", type=_int_at_least(1), default=3, metavar="K",
+    bench.add_argument("--repeats", action=_Noted, type=_int_at_least(1),
+                       default=3, metavar="K",
                        help="batched timing repeats, best-of (default: 3)")
-    bench.add_argument("--seed", type=int, default=0, metavar="S",
+    bench.add_argument("--seed", action=_Noted, type=int, default=0, metavar="S",
                        help="base seed (default: 0)")
 
     serve = command("serve", serve_command,

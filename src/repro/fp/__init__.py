@@ -31,7 +31,6 @@ from repro.fp.mac import FPMac, fp_fma
 from repro.fp.multiplier import FPMultiplier, fp_mul
 from repro.fp.rounding import RoundingMode
 from repro.fp.sqrt import FPSqrt, fp_sqrt
-from repro.fp.trace import fp_add_trace, fp_mul_trace
 from repro.fp.value import FPValue
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "Ordering",
     "RoundingMode",
     "fp_add",
-    "fp_add_trace",
     "fp_compare",
     "fp_convert",
     "fp_div",
@@ -60,7 +58,6 @@ __all__ = [
     "fp_max",
     "fp_min",
     "fp_mul",
-    "fp_mul_trace",
     "fp_sqrt",
     "fp_sub",
     "is_lossless",

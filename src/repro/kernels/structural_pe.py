@@ -27,8 +27,12 @@ from repro.fp.format import FPFormat
 from repro.fp.rounding import RoundingMode
 from repro.kernels.pe import AToken
 from repro.rtl.memory import BlockRAM
-from repro.rtl.staged import MicroOp, StagedPipeline, State
-from repro.units.structural import adder_micro_ops, multiplier_micro_ops
+from repro.rtl.staged import MicroOp, State
+from repro.units.structural import (
+    _StructuralCore,
+    adder_micro_ops,
+    multiplier_micro_ops,
+)
 
 
 def mac_micro_ops(fmt: FPFormat, mode: RoundingMode) -> list[MicroOp]:
@@ -66,8 +70,12 @@ def mac_micro_ops(fmt: FPFormat, mode: RoundingMode) -> list[MicroOp]:
     return ops
 
 
-class StructuralMAC:
-    """A staged-pipeline MAC: ``c + a*b`` with two roundings (paper PE)."""
+class StructuralMAC(_StructuralCore):
+    """A staged-pipeline MAC: ``c + a*b`` with two roundings (paper PE).
+
+    Issue order is ``(c, a, b)``: the accumulator word, then the product
+    operands.
+    """
 
     def __init__(
         self,
@@ -75,18 +83,9 @@ class StructuralMAC:
         stages: int,
         mode: RoundingMode = RoundingMode.NEAREST_EVEN,
     ) -> None:
-        if stages < 1:
-            raise ValueError(f"stages must be >= 1, got {stages}")
-        self.fmt = fmt
-        self.stages = stages
-        self.micro_ops = mac_micro_ops(fmt, mode)
-        self.pipe = StagedPipeline(self.micro_ops, stages, name=f"smac_{fmt.name}")
-
-    def compute(self, c: int, a: int, b: int) -> tuple[int, FPFlags]:
-        state: State = {"a": a, "b": b, "c": c}
-        for op in self.micro_ops:
-            state = op.apply(state)
-        return state["result"], state["flags"]
+        super().__init__(
+            fmt, stages, mac_micro_ops(fmt, mode), ("c", "a", "b"), f"smac_{fmt.name}"
+        )
 
 
 class StructuralProcessingElement:

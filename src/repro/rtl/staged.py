@@ -22,6 +22,10 @@ from typing import Any, Callable, Optional, Sequence
 
 State = dict[str, Any]
 
+#: Bundle keys of the issued operands, in issue order (a unary op reads
+#: ``a``; a ternary one ``a``, ``b``, ``c``).
+OPERANDS = ("a", "b", "c")
+
 
 @dataclass(frozen=True)
 class MicroOp:
@@ -35,10 +39,35 @@ class MicroOp:
     name: str
     fn: Callable[[State], State]
 
-    def apply(self, state: State) -> State:
-        out = dict(state)
-        out.update(self.fn(state))
-        return out
+
+def run_micro_ops(
+    ops: Sequence[MicroOp],
+    state: State,
+    record: Optional[Callable[[str, State], None]] = None,
+) -> State:
+    """Apply ``ops`` in order to ``state``; return the final bundle.
+
+    Each micro-op sees the bundle its predecessors left, and its updates
+    are merged over a copy of it, so ``state`` itself is never mutated.
+    ``record``, if given, receives ``(name, updates)`` after every
+    micro-op, in order — the waveform of one operation.
+    """
+    for op in ops:
+        updates = op.fn(state)
+        if record is not None:
+            record(op.name, updates)
+        state = {**state, **updates}
+    return state
+
+
+def int_signals(updates: State) -> dict[str, int]:
+    """A micro-op's integer-valued updates: its datapath signals, which
+    are also its fault sites (booleans excluded)."""
+    return {
+        key: value
+        for key, value in updates.items()
+        if isinstance(value, int) and not isinstance(value, bool)
+    }
 
 
 def partition_micro_ops(
@@ -105,13 +134,9 @@ class StagedPipeline:
         # value (two-phase semantics without copying the whole array).
         for i in range(self.stages - 1, 0, -1):
             prev = self._regs[i - 1]
-            if prev is None:
-                self._regs[i] = None
-            else:
-                state = prev
-                for op in self.groups[i]:
-                    state = op.apply(state)
-                self._regs[i] = state
+            self._regs[i] = (
+                None if prev is None else run_micro_ops(self.groups[i], prev)
+            )
         if out is None:
             return None, False
         self.completed += 1
@@ -125,10 +150,7 @@ class StagedPipeline:
         if inputs is None:
             self._regs[0] = None
             return
-        state = dict(inputs)
-        for op in self.groups[0]:
-            state = op.apply(state)
-        self._regs[0] = state
+        self._regs[0] = run_micro_ops(self.groups[0], dict(inputs))
         self.issued += 1
 
     def step(self, inputs: Optional[State]) -> tuple[Optional[State], bool]:

@@ -19,6 +19,9 @@ from repro.units.structural import (
     StructuralFPMac,
     StructuralFPMultiplier,
     StructuralFPSqrt,
+    fp_add_trace,
+    fp_mul_trace,
+    trace_datapath,
 )
 
 __all__ = [
@@ -34,4 +37,7 @@ __all__ = [
     "StructuralFPMultiplier",
     "StructuralFPSqrt",
     "explore",
+    "fp_add_trace",
+    "fp_mul_trace",
+    "trace_datapath",
 ]

@@ -14,17 +14,24 @@ verification flow.
 Special operands ride a ``bypass`` field through the pipe (detected in
 stage 1 and carried forward), mirroring the paper's "at every stage
 exceptions are detected and carried forward" sideband.
+
+:data:`MICRO_OPS` keys one list per :data:`repro.fp.ops.OP_TABLE` op.
+The same lists are the library's waveform view: :func:`trace_datapath`
+runs one operation and records the signals each micro-op drove.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Optional, Sequence
 
-from repro.fp.flags import FPFlags
-from repro.fp.format import FPFormat
 from repro.fp.adder import _special_add
 from repro.fp.divider import _special_div
+from repro.fp.flags import FPFlags
+from repro.fp.format import FPFormat
 from repro.fp.multiplier import _special_mul
+from repro.fp.ops import OP_ARITY
 from repro.fp.rounding import RoundingMode, extract_grs, round_significand
 from repro.fp.subunits import (
     align_shift,
@@ -36,13 +43,40 @@ from repro.fp.subunits import (
     sign_xor,
     swap,
 )
-from repro.rtl.staged import MicroOp, StagedPipeline, State
+from repro.rtl.staged import (
+    OPERANDS,
+    MicroOp,
+    StagedPipeline,
+    State,
+    int_signals,
+    run_micro_ops,
+)
 
 GRS = 3
 
 
 def _bypassed(state: State) -> bool:
     return state.get("bypass") is not None
+
+
+def _pack(fmt: FPFormat, st: State, bias: int = 0) -> State:
+    """The closing pack: the bypass sideband if set, else ``sig`` at the
+    biased exponent ``exp + bias``, saturated to Inf or flushed to zero."""
+    if _bypassed(st):
+        bits, flags = st["bypass"]
+        return {"result": bits, "flags": flags}
+    exp, sign = st["exp"] + bias, st["sign"]
+    if exp >= fmt.exp_max:
+        return {"result": fmt.inf(sign), "flags": FPFlags(overflow=True, inexact=True)}
+    if exp <= 0:
+        return {
+            "result": fmt.zero(sign),
+            "flags": FPFlags(underflow=True, inexact=True, zero=True),
+        }
+    return {
+        "result": fmt.pack(sign, exp, st["sig"] & fmt.man_mask),
+        "flags": FPFlags(inexact=st["inexact"]),
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -232,34 +266,13 @@ def multiplier_micro_ops(fmt: FPFormat, mode: RoundingMode) -> list[MicroOp]:
             exp += 1
         return {"sig": sig, "exp": exp, "inexact": inexact}
 
-    def pack(st: State) -> State:
-        if _bypassed(st):
-            bits, flags = st["bypass"]
-            return {"result": bits, "flags": flags}
-        exp = st["exp"]
-        sign = st["sign"]
-        if exp >= fmt.exp_max:
-            return {
-                "result": fmt.inf(sign),
-                "flags": FPFlags(overflow=True, inexact=True),
-            }
-        if exp <= 0:
-            return {
-                "result": fmt.zero(sign),
-                "flags": FPFlags(underflow=True, inexact=True, zero=True),
-            }
-        return {
-            "result": fmt.pack(sign, exp, st["sig"] & fmt.man_mask),
-            "flags": FPFlags(inexact=st["inexact"]),
-        }
-
     return [
         MicroOp("unpack", unpack),
         MicroOp("denorm", denorm),
         MicroOp("multiply", multiply),
         MicroOp("normalize", normalize),
         MicroOp("round", round_stage),
-        MicroOp("pack", pack),
+        MicroOp("pack", partial(_pack, fmt)),
     ]
 
 
@@ -331,36 +344,13 @@ def divider_micro_ops(fmt: FPFormat, mode: RoundingMode) -> list[MicroOp]:
             exp += 1
         return {"sig": sig, "exp": exp, "inexact": inexact}
 
-    def pack(st: State) -> State:
-        if _bypassed(st):
-            bits, flags = st["bypass"]
-            return {"result": bits, "flags": flags}
-        exp, sign = st["exp"], st["sign"]
-        if exp >= fmt.exp_max:
-            return {
-                "result": fmt.inf(sign),
-                "flags": FPFlags(overflow=True, inexact=True),
-            }
-        if exp <= 0:
-            return {
-                "result": fmt.zero(sign),
-                "flags": FPFlags(underflow=True, inexact=True, zero=True),
-            }
-        return {
-            "result": fmt.pack(sign, exp, st["sig"] & fmt.man_mask),
-            "flags": FPFlags(inexact=st["inexact"]),
-        }
-
     ops = [MicroOp("unpack", unpack)]
     ops.extend(make_row(i) for i in range(fmt.man_bits + 3))
     ops.append(MicroOp("normalize_round", normalize_round))
-    ops.append(MicroOp("pack", pack))
+    ops.append(MicroOp("pack", partial(_pack, fmt)))
     return ops
 
 
-# --------------------------------------------------------------------- #
-# Structural core wrappers
-# --------------------------------------------------------------------- #
 # --------------------------------------------------------------------- #
 # Square-root micro-ops: two radicand bits per recurrence row
 # --------------------------------------------------------------------- #
@@ -506,69 +496,83 @@ def fma_micro_ops(fmt: FPFormat, mode: RoundingMode) -> list[MicroOp]:
             exp += 1
         return {"sig": sig, "exp": exp, "inexact": inexact}
 
-    def pack(st: State) -> State:
-        if _bypassed(st):
-            bits, flags = st["bypass"]
-            return {"result": bits, "flags": flags}
-        exp = st["exp"]
-        if exp > fmt.emax:
-            return {
-                "result": fmt.inf(st["sign"]),
-                "flags": FPFlags(overflow=True, inexact=True),
-            }
-        if exp < fmt.emin:
-            return {
-                "result": fmt.zero(st["sign"]),
-                "flags": FPFlags(underflow=True, inexact=True, zero=True),
-            }
-        return {
-            "result": fmt.pack(st["sign"], exp + fmt.bias, st["sig"] & fmt.man_mask),
-            "flags": FPFlags(inexact=st["inexact"]),
-        }
-
     return [
         MicroOp("unpack", unpack),
         MicroOp("multiply", multiply),
         MicroOp("align_add", align_add),
         MicroOp("normalize_round", normalize_round),
-        MicroOp("pack", pack),
+        MicroOp("pack", partial(_pack, fmt, bias=fmt.bias)),
     ]
 
 
+# --------------------------------------------------------------------- #
+# One table, one core class, one trace recorder
+# --------------------------------------------------------------------- #
+MicroOpBuilder = Callable[[FPFormat, RoundingMode], list[MicroOp]]
+
+#: Every :data:`repro.fp.ops.OP_TABLE` op as ``(micro-op builder, fields
+#: seeded into each bundle)``: subtraction is the adder's list with its
+#: ``subtract`` input set.
+MICRO_OPS: dict[str, tuple[MicroOpBuilder, State]] = {
+    "add": (adder_micro_ops, {}),
+    "sub": (adder_micro_ops, {"subtract": True}),
+    "mul": (multiplier_micro_ops, {}),
+    "div": (divider_micro_ops, {}),
+    "sqrt": (sqrt_micro_ops, {}),
+    "fma": (fma_micro_ops, {}),
+}
+
+
+def _bundle(operands: Sequence[str], words: Sequence[int], seed: State) -> State:
+    """The state bundle one issue starts from."""
+    if len(words) != len(operands):
+        raise ValueError(f"expected {len(operands)} operand(s), got {len(words)}")
+    return {**seed, **dict(zip(operands, words))}
+
+
 class _StructuralCore:
-    """Common machinery for the structural cores below."""
+    """A staged pipeline over one micro-op list.
+
+    Issued words land on the bundle keys ``operands``, in order, over the
+    fields of ``seed``.
+    """
 
     def __init__(
         self,
         fmt: FPFormat,
         stages: int,
-        ops: list[MicroOp],
+        micro_ops: list[MicroOp],
+        operands: tuple[str, ...],
         name: str,
+        seed: Optional[State] = None,
     ) -> None:
-        if stages < 1:
-            raise ValueError(f"stages must be >= 1, got {stages}")
         self.fmt = fmt
         self.stages = stages
-        self.micro_ops = ops
-        self.pipe = StagedPipeline(ops, stages, name=name)
+        self.micro_ops = micro_ops
+        self.operands = operands
+        self._seed = seed or {}
+        self.pipe = StagedPipeline(micro_ops, stages, name=name)
 
     def step(
-        self, a: Optional[int] = None, b: Optional[int] = None, **extra
+        self, *words: Optional[int], **extra
     ) -> tuple[Optional[tuple[int, FPFlags]], bool]:
-        """Clock one cycle; issue ``(a, b)`` if given, else a bubble."""
-        if (a is None) != (b is None):
-            raise ValueError("issue both operands or neither")
-        bundle = None if a is None else {"a": a, "b": b, **extra}
+        """Clock one cycle; issue ``words`` if given, else a bubble."""
+        if all(w is None for w in words):
+            bundle = None
+        elif None in words:
+            raise ValueError("issue all operands or none")
+        else:
+            bundle = {**_bundle(self.operands, words, self._seed), **extra}
         out, done = self.pipe.step(bundle)
         if not done:
             return None, False
         return (out["result"], out["flags"]), True
 
-    def compute(self, a: int, b: int, **extra) -> tuple[int, FPFlags]:
-        """Single-shot: issue and drain (for directed tests)."""
-        state: State = {"a": a, "b": b, **extra}
-        for op in self.micro_ops:
-            state = op.apply(state)
+    def compute(self, *words: int, **extra) -> tuple[int, FPFlags]:
+        """Single-shot: run the micro-op list on one issue."""
+        state = run_micro_ops(
+            self.micro_ops, {**_bundle(self.operands, words, self._seed), **extra}
+        )
         return state["result"], state["flags"]
 
     @property
@@ -576,112 +580,127 @@ class _StructuralCore:
         return self.stages
 
 
-class StructuralFPAdder(_StructuralCore):
+class _OpCore(_StructuralCore):
+    """The structural core of the :data:`MICRO_OPS` op named ``op``."""
+
+    op: str
+
+    def __init__(
+        self,
+        fmt: FPFormat,
+        stages: int,
+        mode: RoundingMode = RoundingMode.NEAREST_EVEN,
+    ) -> None:
+        build, seed = MICRO_OPS[self.op]
+        super().__init__(
+            fmt,
+            stages,
+            build(fmt, mode),
+            OPERANDS[: OP_ARITY[self.op]],
+            f"sfp{self.op}_{fmt.name}",
+            seed,
+        )
+
+
+class StructuralFPAdder(_OpCore):
     """Stage-by-stage FP adder/subtractor (see module docstring)."""
 
-    def __init__(
-        self,
-        fmt: FPFormat,
-        stages: int,
-        mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    ) -> None:
-        super().__init__(
-            fmt, stages, adder_micro_ops(fmt, mode), f"sfpadd_{fmt.name}"
-        )
+    op = "add"
 
 
-class StructuralFPMultiplier(_StructuralCore):
+class StructuralFPMultiplier(_OpCore):
     """Stage-by-stage FP multiplier."""
 
-    def __init__(
-        self,
-        fmt: FPFormat,
-        stages: int,
-        mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    ) -> None:
-        super().__init__(
-            fmt, stages, multiplier_micro_ops(fmt, mode), f"sfpmul_{fmt.name}"
-        )
+    op = "mul"
 
 
-class StructuralFPDivider(_StructuralCore):
+class StructuralFPDivider(_OpCore):
     """Stage-by-stage FP divider with a real one-bit recurrence."""
 
-    def __init__(
-        self,
-        fmt: FPFormat,
-        stages: int,
-        mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    ) -> None:
-        super().__init__(
-            fmt, stages, divider_micro_ops(fmt, mode), f"sfpdiv_{fmt.name}"
-        )
+    op = "div"
 
 
-class StructuralFPSqrt(_StructuralCore):
+class StructuralFPSqrt(_OpCore):
     """Stage-by-stage FP square root with a two-bits-per-row recurrence."""
 
-    def __init__(
-        self,
-        fmt: FPFormat,
-        stages: int,
-        mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    ) -> None:
-        super().__init__(
-            fmt, stages, sqrt_micro_ops(fmt, mode), f"sfpsqrt_{fmt.name}"
-        )
-
-    def step(
-        self, a: Optional[int] = None, **extra
-    ) -> tuple[Optional[tuple[int, FPFlags]], bool]:
-        """Clock one cycle; issue ``a`` if given, else a bubble."""
-        bundle = None if a is None else {"a": a, **extra}
-        out, done = self.pipe.step(bundle)
-        if not done:
-            return None, False
-        return (out["result"], out["flags"]), True
-
-    def compute(self, a: int, **extra) -> tuple[int, FPFlags]:
-        """Single-shot evaluation."""
-        state: State = {"a": a, **extra}
-        for op in self.micro_ops:
-            state = op.apply(state)
-        return state["result"], state["flags"]
+    op = "sqrt"
 
 
-class StructuralFPMac(_StructuralCore):
+class StructuralFPMac(_OpCore):
     """Stage-by-stage fused MAC: ``a*b + c`` with a single rounding."""
 
-    def __init__(
-        self,
-        fmt: FPFormat,
-        stages: int,
-        mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-    ) -> None:
-        super().__init__(
-            fmt, stages, fma_micro_ops(fmt, mode), f"sfpfma_{fmt.name}"
-        )
+    op = "fma"
 
-    def step(
-        self,
-        a: Optional[int] = None,
-        b: Optional[int] = None,
-        c: Optional[int] = None,
-        **extra,
-    ) -> tuple[Optional[tuple[int, FPFlags]], bool]:
-        """Clock one cycle; issue ``(a, b, c)`` if given, else a bubble."""
-        given = (a is None, b is None, c is None)
-        if len(set(given)) != 1:
-            raise ValueError("issue all three operands or none")
-        bundle = None if a is None else {"a": a, "b": b, "c": c, **extra}
-        out, done = self.pipe.step(bundle)
-        if not done:
-            return None, False
-        return (out["result"], out["flags"]), True
 
-    def compute(self, a: int, b: int, c: int, **extra) -> tuple[int, FPFlags]:
-        """Single-shot evaluation."""
-        state: State = {"a": a, "b": b, "c": c, **extra}
-        for op in self.micro_ops:
-            state = op.apply(state)
-        return state["result"], state["flags"]
+@dataclass
+class StageTrace:
+    """One micro-op's recorded signals, in the order it drove them."""
+
+    name: str
+    signals: dict[str, int] = field(default_factory=dict)
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        inner = ", ".join(f"{k}={v:#x}" for k, v in self.signals.items())
+        return f"{self.name}: {inner}"
+
+
+@dataclass
+class DatapathTrace:
+    """Everything one operation did, micro-op by micro-op."""
+
+    op: str
+    fmt: FPFormat
+    stages: list[StageTrace] = field(default_factory=list)
+    result: int = 0
+    flags: FPFlags = field(default_factory=FPFlags)
+    special: Optional[str] = None  # the micro-op that set ``bypass``
+
+    def find(self, stage: str, signal: str) -> int:
+        for s in self.stages:
+            if s.name == stage and signal in s.signals:
+                return s.signals[signal]
+        raise KeyError(f"no signal {signal!r} in stage {stage!r}")
+
+    def render(self) -> str:
+        lines = [f"{self.op} ({self.fmt.name})"]
+        if self.special:
+            lines.append(f"  special case: {self.special}")
+        for s in self.stages:
+            lines.append(f"  {s}")
+        lines.append(f"  result = {self.result:#x}  flags = {self.flags}")
+        return "\n".join(lines)
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.render()
+
+
+def trace_datapath(
+    op: str,
+    fmt: FPFormat,
+    *words: int,
+    mode: RoundingMode = RoundingMode.NEAREST_EVEN,
+) -> DatapathTrace:
+    """The waveform view: run ``op``'s micro-op list once on ``words``.
+
+    Every micro-op that did work becomes a stage holding its integer
+    signals.  The result is the micro-op list's own, which the test suite
+    pins to the scalar datapaths on every golden-corpus row.
+    """
+    build, seed = MICRO_OPS[op]
+    trace = DatapathTrace(op=op, fmt=fmt)
+
+    def record(name: str, updates: State) -> None:
+        if updates:
+            trace.stages.append(StageTrace(name, int_signals(updates)))
+        if updates.get("bypass") is not None:
+            trace.special = name
+
+    state = run_micro_ops(
+        build(fmt, mode), _bundle(OPERANDS[: OP_ARITY[op]], words, seed), record
+    )
+    trace.result, trace.flags = state["result"], state["flags"]
+    return trace
+
+
+fp_add_trace = partial(trace_datapath, "add")
+fp_mul_trace = partial(trace_datapath, "mul")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.fp.format import FPFormat
-from repro.rtl.staged import MicroOp, State
+from repro.rtl.staged import OPERANDS, MicroOp, State, int_signals, run_micro_ops
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,9 @@ def inject(ops: Sequence[MicroOp], fault: Fault) -> list[MicroOp]:
 
 def _integer_fields(ops: Sequence[MicroOp], probe: State) -> list[tuple[int, str]]:
     """Discover (op_index, field) sites by running the chain once."""
-    sites = []
-    state = dict(probe)
-    for i, op in enumerate(ops):
-        updates = op.fn(state)
-        state.update(updates)
-        for key, value in updates.items():
-            if isinstance(value, int) and not isinstance(value, bool):
-                sites.append((i, key))
-    return sites
+    steps: list[State] = []
+    run_micro_ops(ops, probe, lambda _name, updates: steps.append(updates))
+    return [(i, key) for i, updates in enumerate(steps) for key in int_signals(updates)]
 
 
 @dataclass
@@ -75,10 +69,6 @@ class MutationReport:
     @property
     def coverage(self) -> float:
         return self.detected / self.trials if self.trials else 0.0
-
-
-#: Operand state keys in issue order (unary reads "a", ternary "a","b","c").
-_OPERAND_KEYS = ("a", "b", "c")
 
 
 def mutation_campaign(
@@ -109,25 +99,21 @@ def mutation_campaign(
     vector stream are unchanged from the original binary campaign, so
     pinned seeds keep their coverage.
     """
-    if not 1 <= arity <= len(_OPERAND_KEYS):
-        raise ValueError(f"arity must be 1..{len(_OPERAND_KEYS)}, got {arity}")
+    if not 1 <= arity <= len(OPERANDS):
+        raise ValueError(f"arity must be 1..{len(OPERANDS)}, got {arity}")
     rng = random.Random(seed)
     probe_words = (
         fmt.pack(0, fmt.bias, fmt.man_mask // 3),
         fmt.pack(0, fmt.bias + 1, fmt.man_mask // 5),
         fmt.pack(0, fmt.bias - 1, fmt.man_mask // 7),
     )
-    probe = dict(zip(_OPERAND_KEYS[:arity], probe_words))
+    probe = dict(zip(OPERANDS[:arity], probe_words))
     sites = _integer_fields(ops, probe)
     if not sites:
         raise ValueError("no integer state fields found to fault")
 
     def run_chain(chain: Sequence[MicroOp], operands: tuple[int, ...]):
-        state: State = dict(zip(_OPERAND_KEYS[:arity], operands))
-        for op in chain:
-            merged = dict(state)
-            merged.update(op.fn(state))
-            state = merged
+        state = run_micro_ops(chain, dict(zip(OPERANDS[:arity], operands)))
         return state["result"], state["flags"]
 
     def uniform_normals(r: random.Random) -> tuple[int, ...]:

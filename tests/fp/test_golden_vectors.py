@@ -1,5 +1,5 @@
 """Golden-vector regression corpus: replay the checked-in oracle vectors
-through the scalar AND vectorized datapaths on every run."""
+through the scalar, vectorized AND structural datapaths on every run."""
 
 from pathlib import Path
 
@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from repro.fp import vectorized
-from repro.fp.format import BF16, FP16, FP32, FP48, FP64
+from repro.fp.format import FORMATS_BY_NAME
 from repro.fp.ops import OP_TABLE
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import lane_dtype
+from repro.units.structural import trace_datapath
 from repro.verify.golden import (
     GOLDEN_OPS,
     GOLDEN_SEED,
@@ -24,7 +25,6 @@ VECTOR_DIR = Path(__file__).resolve().parent.parent / "vectors"
 
 CORPUS_FILES = sorted(VECTOR_DIR.glob("*.json"))
 
-FORMATS_BY_NAME = {f.name: f for f in (FP16, BF16, FP32, FP48, FP64)}
 LANES = (np.uint16, np.uint32, np.uint64)
 
 
@@ -78,6 +78,19 @@ def test_vectorized_datapaths_match_golden(path):
             want_bits, want_flags = case[mode.value]
             assert int(bits[i]) == want_bits, (path.name, case, mode.value)
             assert int(flags[i]) == want_flags, (path.name, case, mode.value)
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
+def test_structural_datapaths_match_golden(path):
+    """Replays through the op's micro-op list, via the trace recorder."""
+    doc = load_corpus(path)
+    fmt, op = doc["fmt"], doc["op"]
+    for case in doc["cases"]:
+        for mode in RoundingMode:
+            want_bits, want_flags = case[mode.value]
+            trace = trace_datapath(op, fmt, *case["operands"], mode=mode)
+            assert trace.result == want_bits, (path.name, case, mode.value)
+            assert trace.flags.to_bits() == want_flags, (path.name, case, mode.value)
 
 
 @pytest.mark.parametrize("path", NARROW_LANE_CORPORA, ids=lambda p: p.stem)

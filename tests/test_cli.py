@@ -345,6 +345,27 @@ class TestCommandTable:
         assert main(argv) == 2
         assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["verify", "--kernels", "--formats", "nope", "--pairs", "5"],
+         ["--formats", "--pairs"]),
+        (["verify", "--ops", "add", "--kernels"], ["--ops"]),
+        (["verify", "--kernels", "--chunk", "10"], ["--chunk"]),
+        (["bench", "--lanes", "--bench-sizes", "2"], ["--bench-sizes"]),
+        (["bench", "--lanes", "--scan-sizes", "8"], ["--scan-sizes"]),
+        (["bench", "--service", "--bench-sizes", "2"], ["--bench-sizes"]),
+        (["bench", "--service", "--scan-sizes", ""], ["--scan-sizes"]),
+        (["bench", "--repeats", "1", "--service"], ["--repeats"]),
+        (["bench", "--explore", "--bench-sizes", "2"], ["--bench-sizes"]),
+        (["bench", "--explore", "--scan-sizes", "8"], ["--scan-sizes"]),
+        (["bench", "--explore", "--seed", "1"], ["--seed"]),
+    ])
+    def test_option_unread_by_the_mode_is_a_usage_error(self, argv, flags,
+                                                         capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        for flag in flags:
+            assert flag in err
+
     @pytest.mark.parametrize("argv, flag", [
         (["all", "--parallel", "0"], "--parallel"),
         (["results", "--retries", "-1"], "--retries"),

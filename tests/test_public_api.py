@@ -40,8 +40,6 @@ PUBLIC_API = {
         "fp_compare",
         "fp_min",
         "fp_max",
-        "fp_add_trace",
-        "fp_mul_trace",
         "FPAdder",
         "FPMultiplier",
         "FPDivider",
@@ -73,7 +71,11 @@ PUBLIC_API = {
         "StructuralFPMultiplier",
         "StructuralFPDivider",
         "StructuralFPSqrt",
+        "StructuralFPMac",
         "explore",
+        "fp_add_trace",
+        "fp_mul_trace",
+        "trace_datapath",
     ],
     "repro.kernels": [
         "MatmulArray",

@@ -12,13 +12,18 @@ from repro.fp.adder import fp_add, fp_sub
 from repro.fp.divider import fp_div
 from repro.fp.format import FP32, FP64
 from repro.fp.multiplier import fp_mul
+from repro.fp.ops import OP_ARITY, OP_TABLE
 from repro.fp.rounding import RoundingMode
 from repro.fp.value import FPValue
 from repro.rtl.staged import MicroOp, StagedPipeline, partition_micro_ops
 from repro.units.structural import (
+    MICRO_OPS,
     StructuralFPAdder,
     StructuralFPDivider,
+    StructuralFPMac,
     StructuralFPMultiplier,
+    StructuralFPSqrt,
+    trace_datapath,
 )
 
 from tests.conftest import TINY, words
@@ -189,6 +194,54 @@ class TestCoreInterface:
 
     def test_latency_property(self):
         assert StructuralFPAdder(FP32, 7).latency == 7
+
+
+CORES = (
+    StructuralFPAdder,
+    StructuralFPMultiplier,
+    StructuralFPDivider,
+    StructuralFPSqrt,
+    StructuralFPMac,
+)
+
+
+class TestOpTable:
+    """One micro-op list per op table entry; the arity comes from it."""
+
+    def test_table_keys_are_the_op_table(self):
+        assert list(MICRO_OPS) == list(OP_TABLE)
+
+    def test_cores_cover_every_arity(self):
+        assert {OP_ARITY[core.op] for core in CORES} == {1, 2, 3}
+
+    @pytest.mark.parametrize("core", CORES, ids=lambda core: core.op)
+    def test_operand_count_is_the_op_arity(self, core):
+        unit = core(FP32, 3)
+        arity = OP_ARITY[core.op]
+        assert len(unit.operands) == arity
+        one = FPValue.from_float(FP32, 1.0).bits
+        want = OP_TABLE[core.op].scalar(FP32, *[one] * arity)
+        assert unit.compute(*[one] * arity) == want
+        for wrong in (arity - 1, arity + 1):
+            with pytest.raises(ValueError):
+                unit.compute(*[one] * wrong)
+        with pytest.raises(ValueError):
+            unit.step(*[one] * (arity + 1))
+        if arity > 1:
+            with pytest.raises(ValueError):
+                unit.step(*[one] * (arity - 1))
+
+    @pytest.mark.parametrize("op", sorted(OP_TABLE))
+    def test_trace_checks_the_op_arity(self, op):
+        one = FPValue.from_float(FP32, 1.0).bits
+        arity = OP_ARITY[op]
+        trace = trace_datapath(op, FP32, *[one] * arity)
+        assert (trace.result, trace.flags) == OP_TABLE[op].scalar(
+            FP32, *[one] * arity
+        )
+        for wrong in (arity - 1, arity + 1):
+            with pytest.raises(ValueError):
+                trace_datapath(op, FP32, *[one] * wrong)
 
 
 class TestSqrtEquivalence:
