@@ -64,6 +64,7 @@ from repro.engine import (
 )
 from repro.experiments import REGISTRY, experiment_jobs
 from repro.fp.format import FORMATS_BY_NAME
+from repro.fp.ops import OP_TABLE
 from repro.fp.rounding import RoundingMode
 
 #: Cache directory used when ``repro cache`` is invoked without an
@@ -720,8 +721,7 @@ def build_parser() -> tuple[
                          help="concurrent workers (default: 16)")
     loadgen.add_argument("--requests", "-n", type=int, default=1000, metavar="N",
                          help="total requests (default: 1000)")
-    loadgen.add_argument("--op", default="mul",
-                         choices=("add", "sub", "mul", "div", "sqrt", "fma"))
+    loadgen.add_argument("--op", default="mul", choices=OP_TABLE)
     loadgen.add_argument("--format", default="fp32", dest="fmt",
                          choices=FORMATS_BY_NAME,
                          help="named paper format (default: fp32)")

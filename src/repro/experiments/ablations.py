@@ -311,7 +311,7 @@ def register_sharing_ablation(
     for factor in factors:
         reports = [
             synthesize(dp, s, ff_sharing=factor)
-            for s in range(1, dp.natural_max_stages + 5)
+            for s in range(1, dp.sweep_depth + 1)
         ]
         best = max(reports, key=lambda r: r.freq_per_area)
         table.add_row(

@@ -14,12 +14,9 @@ from repro.fp.format import PAPER_FORMATS
 from repro.units.explorer import UnitKind, explore
 
 
-def run(kind: UnitKind = UnitKind.ADDER, extra_stages: int = 4) -> SweepResult:
+def run(kind: UnitKind = UnitKind.ADDER) -> SweepResult:
     """Regenerate Fig 2a (adders) or Fig 2b (multipliers)."""
-    max_stages = (
-        max(kind.datapath(fmt).natural_max_stages for fmt in PAPER_FORMATS)
-        + extra_stages
-    )
+    max_stages = max(kind.datapath(fmt).sweep_depth for fmt in PAPER_FORMATS)
     result = SweepResult(
         title=f"Figure 2{'a' if kind is UnitKind.ADDER else 'b'}: "
         f"Freq/Area vs pipeline stages ({kind.value}s)",

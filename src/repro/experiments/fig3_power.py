@@ -17,13 +17,9 @@ from repro.units.explorer import UnitKind, explore
 def run(
     kind: UnitKind = UnitKind.ADDER,
     frequency_mhz: float = 100.0,
-    extra_stages: int = 4,
 ) -> SweepResult:
     """Regenerate Fig 3a (adders) or Fig 3b (multipliers)."""
-    max_stages = (
-        max(kind.datapath(fmt).natural_max_stages for fmt in PAPER_FORMATS)
-        + extra_stages
-    )
+    max_stages = max(kind.datapath(fmt).sweep_depth for fmt in PAPER_FORMATS)
     result = SweepResult(
         title=f"Figure 3{'a' if kind is UnitKind.ADDER else 'b'}: "
         f"Power vs pipeline stages ({kind.value}s, {frequency_mhz:.0f} MHz)",

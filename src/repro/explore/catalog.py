@@ -214,7 +214,7 @@ def _unit_frontier(
     records = []
     for kind in kinds:
         for fmt in formats:
-            max_stages = kind.datapath(fmt).natural_max_stages + 4
+            max_stages = kind.datapath(fmt).sweep_depth
             reports = _explorer._run_sweep(fmt, kind, objective, grade, max_stages)
             records.extend(unit_record(kind, fmt, r) for r in reports)
     return compute_frontier("units", records)

@@ -32,7 +32,7 @@ from repro.explore import catalog as _catalog
 from repro.explore.frontier import argbest
 from repro.fp.format import FORMATS_BY_NAME, FPFormat
 from repro.obs.trace import NULL_TRACE
-from repro.units.explorer import UnitKind
+from repro.units.explorer import KINDS_BY_NAME, UnitKind
 
 #: Alternatives returned alongside the winner.
 MAX_ALTERNATIVES = 5
@@ -141,18 +141,17 @@ def _check_satisfiable(
 def _resolve_kinds(raw: object) -> Tuple[UnitKind, ...]:
     if raw is None:
         return tuple(UnitKind)
-    by_name = {k.value: k for k in UnitKind}
     if not isinstance(raw, (list, tuple)) or not raw:
         raise QueryError(
-            f"kinds must be a non-empty list among {', '.join(by_name)}"
+            f"kinds must be a non-empty list among {', '.join(KINDS_BY_NAME)}"
         )
-    unknown = [k for k in raw if k not in by_name]
+    unknown = [k for k in raw if k not in KINDS_BY_NAME]
     if unknown:
         raise QueryError(
             f"unknown unit kinds: {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(by_name)})"
+            f"(known: {', '.join(KINDS_BY_NAME)})"
         )
-    return tuple(by_name[k] for k in raw)
+    return tuple(KINDS_BY_NAME[k] for k in raw)
 
 
 def _resolve_formats(raw: object) -> Tuple[FPFormat, ...]:

@@ -34,6 +34,10 @@ SIDEBAND_BITS = 7
 #: Grain (ns) used when expanding divisible subunits into quanta.
 DIVISIBLE_GRAIN_NS = 0.5
 
+#: Register levels a default stage sweep implements past the natural
+#: maximum, so the over-pipelining dip in MHz/slice is visible (Figure 2).
+OVERPIPELINE_STAGES = 4
+
 
 @dataclass(frozen=True)
 class Quantum:
@@ -79,6 +83,11 @@ class Datapath:
     def natural_max_stages(self) -> int:
         """Stage count beyond which added registers cannot raise frequency."""
         return len(self.quanta)
+
+    @property
+    def sweep_depth(self) -> int:
+        """The deepest implementation a default stage sweep builds."""
+        return self.natural_max_stages + OVERPIPELINE_STAGES
 
 
 def _divisible(

@@ -121,11 +121,11 @@ def sweep_stages(
 ) -> list[ImplementationReport]:
     """Implement every pipeline depth from 1 to ``max_stages``.
 
-    ``max_stages`` defaults to a few levels past the natural maximum so
-    the over-pipelining dip in MHz/slice is visible, as in Figure 2.
+    ``max_stages`` defaults to the datapath's ``sweep_depth``, a few
+    levels past the natural maximum.
     """
     if max_stages is None:
-        max_stages = datapath.natural_max_stages + 4
+        max_stages = datapath.sweep_depth
     return [
         synthesize(datapath, s, objective=objective, grade=grade)
         for s in range(1, max_stages + 1)

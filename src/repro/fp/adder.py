@@ -166,9 +166,9 @@ def fp_sub(
 class FPAdder:
     """Combinational adder/subtractor bound to a format and rounding mode.
 
-    This is the zero-latency functional model; :class:`repro.units.fpadd.
-    PipelinedFPAdder` wraps it with a cycle-accurate pipeline and an
-    area/frequency implementation report.
+    This is the zero-latency functional model; :class:`repro.units.
+    PipelinedFPAdder` runs the same datapath in a cycle-accurate pipeline
+    with an area/frequency implementation report.
     """
 
     def __init__(

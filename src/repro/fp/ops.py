@@ -55,3 +55,7 @@ OP_TABLE: Dict[str, Op] = {
 
 #: Op name -> operand count.
 OP_ARITY: Dict[str, int] = {name: op.arity for name, op in OP_TABLE.items()}
+
+#: Operand keys in issue order: an op of arity k takes the first k (the
+#: staged cores' bundle keys and the service's request-body keys).
+OPERANDS = ("a", "b", "c")

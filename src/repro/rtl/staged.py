@@ -22,10 +22,6 @@ from typing import Any, Callable, Optional, Sequence
 
 State = dict[str, Any]
 
-#: Bundle keys of the issued operands, in issue order (a unary op reads
-#: ``a``; a ternary one ``a``, ``b``, ``c``).
-OPERANDS = ("a", "b", "c")
-
 
 @dataclass(frozen=True)
 class MicroOp:

@@ -40,6 +40,7 @@ from repro.explore.recommend import (
 from repro.obs.trace import NULL_TRACE
 from repro.service.admission import ADMIT_DRAINING, ADMIT_OK
 from repro.fp.format import FORMATS_BY_NAME, FPFormat
+from repro.fp.ops import OPERANDS
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import check_vectorized_format
 from repro.kernels.batched import array_cycles, hazard_count
@@ -51,7 +52,7 @@ from repro.service.http import (
     error_body,
     json_body,
 )
-from repro.units.explorer import UnitKind, explore
+from repro.units.explorer import KINDS_BY_NAME, explore
 
 #: (status, body, content-type, extra headers) — what a handler returns.
 Reply = Tuple[int, bytes, str, Tuple[Tuple[str, str], ...]]
@@ -73,9 +74,6 @@ class StreamReply:
 
 _MODES = {m.value: m for m in RoundingMode}
 _CUSTOM_FORMATS: Dict[Tuple[int, int], FPFormat] = {}
-#: Request-body operand keys in positional order; an op of arity k
-#: takes exactly the first k of these.
-_OPERAND_KEYS = ("a", "b", "c")
 
 
 def resolve_format(spec: object) -> FPFormat:
@@ -222,7 +220,7 @@ class Handlers:
         # operands precisely — a unary op posted with 'b' is a caller
         # bug the error message should name, not a silent ignore.
         arity = OP_ARITY[op]
-        keys = _OPERAND_KEYS[:arity]
+        keys = OPERANDS[:arity]
         wants = " and ".join(f"'{k}'" for k in keys)
         missing = [k for k in keys if k not in doc]
         if missing:
@@ -232,7 +230,7 @@ class Handlers:
                 f"{'s' if arity != 1 else ''} ({wants}); missing "
                 + ", ".join(f"'{k}'" for k in missing),
             )
-        surplus = [k for k in _OPERAND_KEYS if k in doc and k not in keys]
+        surplus = [k for k in OPERANDS if k in doc and k not in keys]
         if surplus:
             raise ProtocolError(
                 400,
@@ -333,11 +331,10 @@ class Handlers:
     # ------------------------------------------------------------------ #
     async def handle_unit(self, request: Request) -> Reply:
         query = request.query
-        kinds = {k.value: k for k in UnitKind}
-        kind = kinds.get(query.get("kind", "adder"))
+        kind = KINDS_BY_NAME.get(query.get("kind", "adder"))
         if kind is None:
             return _error_reply(
-                400, f"unknown unit kind (known: {', '.join(kinds)})"
+                400, f"unknown unit kind (known: {', '.join(KINDS_BY_NAME)})"
             )
         try:
             fmt = resolve_format(query.get("format", "fp32"))

@@ -23,12 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.fp.format import FP32, FPFormat
+from repro.fp.ops import OPERANDS
 from repro.fp.rounding import RoundingMode
 from repro.service.batcher import OP_ARITY
-
-#: Operand keys in request-body order; an op of arity k sends the
-#: first k (mirrors the handler's validation table).
-_OPERAND_KEYS = ("a", "b", "c")
 
 
 @dataclass
@@ -124,7 +121,7 @@ def _request_bytes(
 ) -> bytes:
     words = ",".join(
         f'"{key}":"{word:#x}"'
-        for key, word in zip(_OPERAND_KEYS, operands)
+        for key, word in zip(OPERANDS, operands)
     )
     body = (
         f'{{{words},"format":"{fmt.name}","mode":"{mode}"}}'

@@ -8,11 +8,15 @@ cycles later, and ask the same object what it costs in slices and what
 clock it closes.
 """
 
-from repro.units.explorer import DesignPoint, DesignSpace, explore
-from repro.units.fpadd import PipelinedFPAdder
-from repro.units.fpdiv import PipelinedFPDivider
-from repro.units.fpmul import PipelinedFPMultiplier
-from repro.units.fpsqrt import PipelinedFPSqrt
+from repro.units.explorer import (
+    DesignPoint,
+    DesignSpace,
+    PipelinedFPAdder,
+    PipelinedFPDivider,
+    PipelinedFPMultiplier,
+    PipelinedFPSqrt,
+    explore,
+)
 from repro.units.structural import (
     StructuralFPAdder,
     StructuralFPDivider,

@@ -1,5 +1,5 @@
-"""Pipeline-depth design-space exploration (the engine behind Fig 2 and
-Tables 1-2).
+"""The generated units and their pipeline-depth design-space exploration
+(the engine behind Fig 2 and Tables 1-2).
 
 For a given format and unit kind the explorer sweeps every pipeline depth
 and identifies the three implementations the paper tabulates:
@@ -11,12 +11,18 @@ and identifies the three implementations the paper tabulates:
 * **opt** — the depth with the highest frequency/area ratio (MHz/slice);
 * **max** — the shallowest depth that reaches the peak clock rate
   (pipelining past it "yields no improvements in throughput").
+
+The sweep and the generated cores share one unit table, :class:`UnitKind`:
+one row per unit naming its :data:`repro.fp.ops.OP_TABLE` op, its datapath
+builder and its minimum depth.  :class:`PipelinedCore` is the one
+behavioural core built from a row, at one depth.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.engine import Engine, Job, default_engine
 from repro.fabric.device import SpeedGrade
@@ -27,46 +33,190 @@ from repro.fabric.netlist import (
     multiplier_datapath,
     sqrt_datapath,
 )
-from repro.fabric.synthesis import ImplementationReport, sweep_stages
+from repro.fabric.synthesis import ImplementationReport, sweep_stages, synthesize
 from repro.fabric.toolchain import Objective
+from repro.fp.flags import FPFlags
 from repro.fp.format import FPFormat
+from repro.fp.ops import OP_ARITY, OP_TABLE
+from repro.fp.rounding import RoundingMode
+from repro.rtl.pipeline import PipelinedFunction
 
 #: Architectural minimum register levels (see module docstring).
 MIN_STAGES_ADDER = 4
 MIN_STAGES_MULTIPLIER = 6
 #: The recurrence units register at least their module boundaries plus a
 #: handful of row groups even in their shallowest builds.
-MIN_STAGES_DIVIDER = 8
-MIN_STAGES_SQRT = 8
+MIN_STAGES_RECURRENCE = 8
 
 
 class UnitKind(enum.Enum):
-    ADDER = "adder"
-    MULTIPLIER = "multiplier"
-    DIVIDER = "divider"  # library extension
-    SQRT = "sqrt"  # library extension
+    """A generated unit, one row each: ``(value, op, datapath, min_stages)``.
+
+    ``op`` names the unit's :data:`repro.fp.ops.OP_TABLE` row,
+    ``datapath(fmt)`` builds its :mod:`repro.fabric.netlist` datapath and
+    ``min_stages`` is its architectural minimum depth.
+    """
+
+    ADDER = ("adder", "add", adder_datapath, MIN_STAGES_ADDER)
+    MULTIPLIER = ("multiplier", "mul", multiplier_datapath, MIN_STAGES_MULTIPLIER)
+    # library extensions
+    DIVIDER = ("divider", "div", divider_datapath, MIN_STAGES_RECURRENCE)
+    SQRT = ("sqrt", "sqrt", sqrt_datapath, MIN_STAGES_RECURRENCE)
+
+    def __new__(
+        cls,
+        value: str,
+        op: str,
+        datapath: Callable[[FPFormat], Datapath],
+        min_stages: int,
+    ) -> "UnitKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.op = op
+        member.datapath = datapath
+        member.min_stages = min_stages
+        return member
+
+
+#: Unit kind by its value, the spelling requests and job keys use.
+KINDS_BY_NAME: dict[str, UnitKind] = {k.value: k for k in UnitKind}
+
+
+class PipelinedCore:
+    """A generated core: a latency-``stages`` pipeline of bit-exact results
+    (with the exception sideband and DONE flag) plus its implementation
+    report.  The pipe runs the ``kind`` row's ``OP_TABLE`` scalar, the
+    report synthesizes the row's datapath; subclasses only name ``kind``.
+
+    Parameters
+    ----------
+    fmt:
+        Floating-point format.
+    stages:
+        Pipeline register levels (= result latency in cycles).
+    mode:
+        Rounding mode.
+    objective / grade:
+        Tool settings forwarded to the synthesis model.
+
+    Use :meth:`step`-style clocking (or ``pipe`` directly), or the
+    convenience :meth:`compute` for un-timed evaluation.
+    """
+
+    kind: UnitKind
+
+    def __init__(
+        self,
+        fmt: FPFormat,
+        stages: int,
+        mode: RoundingMode = RoundingMode.NEAREST_EVEN,
+        objective: Objective = Objective.BALANCED,
+        grade: SpeedGrade = SpeedGrade.MINUS_7,
+    ) -> None:
+        if stages < 1:
+            raise ValueError(f"stages must be >= 1, got {stages}")
+        self.fmt = fmt
+        self.stages = stages
+        self.mode = mode
+        self.arity = OP_ARITY[self.kind.op]
+        self.report: ImplementationReport = synthesize(
+            self.kind.datapath(fmt), stages, objective=objective, grade=grade
+        )
+        self.pipe: PipelinedFunction = PipelinedFunction(
+            self._evaluate,
+            latency=stages,
+            name=f"fp{self.kind.op}_{fmt.name}_s{stages}",
+        )
+
+    def _evaluate(self, op: str, *words: int) -> tuple[int, FPFlags]:
+        return OP_TABLE[op].scalar(self.fmt, *words, self.mode)
+
+    def _issue(self, words: tuple[int, ...], subtract: bool) -> tuple:
+        """The pipe operands of one issue: the op name, then the words."""
+        if len(words) != self.arity:
+            raise ValueError(f"expected {self.arity} operand(s), got {len(words)}")
+        if not subtract:
+            return (self.kind.op, *words)
+        if self.kind is not UnitKind.ADDER:
+            raise ValueError(f"only the adder subtracts, not the {self.kind.value}")
+        return ("sub", *words)
+
+    # ------------------------------------------------------------------ #
+    # Timed interface
+    # ------------------------------------------------------------------ #
+    def step(
+        self, *words: Optional[int], subtract: bool = False
+    ) -> tuple[Optional[tuple[int, FPFlags]], bool]:
+        """Clock one cycle; issue ``words`` if given, else a bubble.
+
+        Returns ``(result, done)`` where ``result`` is the
+        ``(bits, flags)`` pair that completed this cycle, if any.
+        """
+        if all(w is None for w in words):
+            return self.pipe.step(None)
+        if None in words:
+            raise ValueError("issue all operands or none")
+        return self.pipe.step(self._issue(words, subtract))
 
     @property
-    def min_stages(self) -> int:
-        return {
-            UnitKind.ADDER: MIN_STAGES_ADDER,
-            UnitKind.MULTIPLIER: MIN_STAGES_MULTIPLIER,
-            UnitKind.DIVIDER: MIN_STAGES_DIVIDER,
-            UnitKind.SQRT: MIN_STAGES_SQRT,
-        }[self]
-
-    def datapath(self, fmt: FPFormat) -> Datapath:
-        return {
-            UnitKind.ADDER: adder_datapath,
-            UnitKind.MULTIPLIER: multiplier_datapath,
-            UnitKind.DIVIDER: divider_datapath,
-            UnitKind.SQRT: sqrt_datapath,
-        }[self](fmt)
+    def latency(self) -> int:
+        return self.stages
 
     @property
-    def is_paper_unit(self) -> bool:
-        """True for the units the paper itself analyses."""
-        return self in (UnitKind.ADDER, UnitKind.MULTIPLIER)
+    def clock_mhz(self) -> float:
+        return self.report.clock_mhz
+
+    @property
+    def slices(self) -> int:
+        return self.report.slices
+
+    # ------------------------------------------------------------------ #
+    # Un-timed convenience
+    # ------------------------------------------------------------------ #
+    def compute(self, *words: int, subtract: bool = False) -> tuple[int, FPFlags]:
+        """Evaluate combinationally (no pipeline bookkeeping)."""
+        return self._evaluate(*self._issue(words, subtract))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}({self.fmt.name}, stages={self.stages}, "
+            f"{self.report.clock_mhz:.0f} MHz, {self.report.slices} slices)"
+        )
+
+
+class PipelinedFPAdder(PipelinedCore):
+    """The FP adder/subtractor (paper Figure 1a); ``subtract=True`` on
+    :meth:`step`/:meth:`compute` issues ``sub``."""
+
+    kind = UnitKind.ADDER
+
+
+class PipelinedFPMultiplier(PipelinedCore):
+    """The FP multiplier (paper Figure 1b)."""
+
+    kind = UnitKind.MULTIPLIER
+
+
+class PipelinedFPDivider(PipelinedCore):
+    """The FP divider (library extension).
+
+    Division is the area outlier: the digit-recurrence array grows
+    quadratically with the significand width, so dividers dwarf the
+    adder/multiplier and are typically instantiated once per kernel (not
+    per PE).
+    """
+
+    kind = UnitKind.DIVIDER
+
+
+class PipelinedFPSqrt(PipelinedCore):
+    """The FP square root (library extension).
+
+    Like the divider, a digit-recurrence array: deep pipelines come
+    naturally (one row per result bit) at quadratic area cost.
+    """
+
+    kind = UnitKind.SQRT
 
 
 @dataclass(frozen=True)
@@ -107,7 +257,7 @@ class DesignSpace:
 
     @property
     def maximum(self) -> DesignPoint:
-        peak = max(r.clock_mhz for r in self.reports)
+        peak = self.peak_clock_mhz
         first = min(r.stages for r in self.reports if r.clock_mhz >= peak - 1e-9)
         return DesignPoint("max", self.at(first))
 
@@ -166,7 +316,7 @@ def sweep_job(
     default>)`` share one cache entry.
     """
     if max_stages is None:
-        max_stages = kind.datapath(fmt).natural_max_stages + 4
+        max_stages = kind.datapath(fmt).sweep_depth
     return Job.create(
         f"fabric.sweep_stages.{kind.value}",
         _run_sweep,

@@ -1,6 +1,6 @@
 """Structural (stage-by-stage) FP cores on the staged-pipeline substrate.
 
-Unlike :class:`~repro.units.fpadd.PipelinedFPAdder` — whose pipeline is
+Unlike :class:`~repro.units.explorer.PipelinedFPAdder` — whose pipeline is
 behavioural (result computed at issue, carried through a delay line) —
 the cores here actually *compute across the stages*: the datapath is an
 ordered list of micro-ops (unpack, denormalize, swap, align, add,
@@ -31,7 +31,7 @@ from repro.fp.divider import _special_div
 from repro.fp.flags import FPFlags
 from repro.fp.format import FPFormat
 from repro.fp.multiplier import _special_mul
-from repro.fp.ops import OP_ARITY
+from repro.fp.ops import OP_ARITY, OPERANDS
 from repro.fp.rounding import RoundingMode, extract_grs, round_significand
 from repro.fp.subunits import (
     align_shift,
@@ -44,7 +44,6 @@ from repro.fp.subunits import (
     swap,
 )
 from repro.rtl.staged import (
-    OPERANDS,
     MicroOp,
     StagedPipeline,
     State,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.fp.format import FPFormat
-from repro.rtl.staged import OPERANDS, MicroOp, State, int_signals, run_micro_ops
+from repro.fp.ops import OPERANDS
+from repro.rtl.staged import MicroOp, State, int_signals, run_micro_ops
 
 
 @dataclass(frozen=True)

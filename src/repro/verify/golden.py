@@ -29,7 +29,7 @@ from repro.fp.format import (
     PAPER_FORMATS,
     SMALL_FORMATS,
 )
-from repro.fp.ops import OP_ARITY, OP_TABLE
+from repro.fp.ops import OP_ARITY, OP_TABLE, OPERANDS
 from repro.fp.rounding import RoundingMode
 from repro.verify.testbench import OperandClass, OperandGenerator
 
@@ -42,8 +42,6 @@ GOLDEN_OPS = ("add", "mul", "div", "sqrt", "fma")
 #: Operations covered by the small-format (fp16/bf16) corpora — the ops
 #: that run on narrow lane dtypes, so every corpus replays a uint16 lane.
 SMALL_GOLDEN_OPS = ("add", "sub", "mul")
-
-_OPERAND_KEYS = ("a", "b", "c")
 
 
 def _directed_cases(fmt: FPFormat, op: str) -> list[tuple[str, tuple[int, ...]]]:
@@ -135,7 +133,7 @@ def generate_corpus(
 
     def emit(labels: list[str], operands: tuple[int, ...]) -> None:
         case: dict = {"classes": labels}
-        for key, word in zip(_OPERAND_KEYS, operands):
+        for key, word in zip(OPERANDS, operands):
             case[key] = f"{word:#x}"
         for mode in RoundingMode:
             bits, flags = oracle(fmt, *operands, mode)
@@ -197,13 +195,13 @@ def load_corpus(path: str | Path) -> dict:
     cases = []
     for case in doc["cases"]:
         operands = tuple(
-            int(case[key], 16) for key in _OPERAND_KEYS if key in case
+            int(case[key], 16) for key in OPERANDS if key in case
         )
         parsed = {
             "classes": tuple(case["classes"]),
             "operands": operands,
         }
-        for key, word in zip(_OPERAND_KEYS, operands):
+        for key, word in zip(OPERANDS, operands):
             parsed[key] = word
         for mode in RoundingMode:
             entry = case[mode.value]

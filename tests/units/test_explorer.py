@@ -3,12 +3,23 @@
 import pytest
 
 from repro.fp.format import FP32, FP64, PAPER_FORMATS
+from repro.fp.ops import OP_ARITY, OP_TABLE
+from repro.fp.value import FPValue
+from repro.units import (
+    PipelinedFPAdder,
+    PipelinedFPDivider,
+    PipelinedFPMultiplier,
+    PipelinedFPSqrt,
+)
 from repro.units.explorer import (
+    KINDS_BY_NAME,
     MIN_STAGES_ADDER,
     MIN_STAGES_MULTIPLIER,
     UnitKind,
     explore,
 )
+
+CORES = (PipelinedFPAdder, PipelinedFPMultiplier, PipelinedFPDivider, PipelinedFPSqrt)
 
 
 class TestDesignSpace:
@@ -104,3 +115,45 @@ class TestUnitKind:
     def test_min_stages(self):
         assert UnitKind.ADDER.min_stages == MIN_STAGES_ADDER
         assert UnitKind.MULTIPLIER.min_stages == MIN_STAGES_MULTIPLIER
+
+
+class TestUnitTable:
+    """One row per unit; the behavioural cores are built from it."""
+
+    def test_every_kind_has_an_op_table_row(self):
+        for kind in UnitKind:
+            assert kind.op in OP_TABLE
+            assert kind.datapath(FP32).fmt == FP32
+            assert KINDS_BY_NAME[kind.value] is kind
+        assert {core.kind for core in CORES} == set(UnitKind)
+
+    @pytest.mark.parametrize("core", CORES, ids=lambda core: core.kind.value)
+    def test_operand_count_is_the_op_arity(self, core):
+        unit = core(FP32, 3)
+        arity = OP_ARITY[core.kind.op]
+        assert unit.arity == arity
+        one = FPValue.from_float(FP32, 1.0).bits
+        want = OP_TABLE[core.kind.op].scalar(FP32, *[one] * arity)
+        assert unit.compute(*[one] * arity) == want
+
+    @pytest.mark.parametrize("core", CORES, ids=lambda core: core.kind.value)
+    def test_wrong_operand_count_raises(self, core):
+        unit = core(FP32, 3)
+        arity = OP_ARITY[core.kind.op]
+        one = FPValue.from_float(FP32, 1.0).bits
+        for wrong in (arity - 1, arity + 1):
+            with pytest.raises(ValueError):
+                unit.compute(*[one] * wrong)
+            if wrong:  # a step with no words at all is a bubble
+                with pytest.raises(ValueError):
+                    unit.step(*[one] * wrong)
+        assert unit.pipe.issued == 0
+
+    def test_subtract_issues_sub(self):
+        five, two = (FPValue.from_float(FP32, x).bits for x in (5.0, 2.0))
+        adder = PipelinedFPAdder(FP32, 2)
+        assert adder.compute(five, two, subtract=True) == OP_TABLE["sub"].scalar(
+            FP32, five, two
+        )
+        with pytest.raises(ValueError):
+            PipelinedFPMultiplier(FP32, 2).compute(five, two, subtract=True)

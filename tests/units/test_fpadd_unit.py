@@ -5,7 +5,7 @@ import pytest
 from repro.fp.format import FP32, FP64
 from repro.fp.rounding import RoundingMode
 from repro.fp.value import FPValue
-from repro.units.fpadd import PipelinedFPAdder
+from repro.units import PipelinedFPAdder
 
 
 class TestConstruction:

@@ -6,7 +6,7 @@ from repro.fabric.netlist import adder_datapath, divider_datapath
 from repro.fabric.synthesis import sweep_stages, synthesize
 from repro.fp.format import FP32, FP64, PAPER_FORMATS
 from repro.fp.value import FPValue
-from repro.units.fpdiv import PipelinedFPDivider
+from repro.units import PipelinedFPDivider
 
 
 class TestDividerDatapath:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.fp.format import FP32, FP48
 from repro.fp.value import FPValue
-from repro.units.fpmul import PipelinedFPMultiplier
+from repro.units import PipelinedFPMultiplier
 
 
 class TestConstruction:

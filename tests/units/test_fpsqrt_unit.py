@@ -5,7 +5,7 @@ import pytest
 from repro.fp.format import FP32, FP64
 from repro.fp.sqrt import fp_sqrt
 from repro.fp.value import FPValue
-from repro.units.fpsqrt import PipelinedFPSqrt
+from repro.units import PipelinedFPSqrt
 
 
 class TestPipelinedSqrt:
