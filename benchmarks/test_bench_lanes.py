@@ -62,3 +62,19 @@ def test_lanes_snapshot_covers_every_lane(show_once):
             assert f"{dtype}.{op}.{fmt_name}.n{n}" in values
             assert f"uint64.{op}.{fmt_name}.n{n}" in values
             assert values[f"lane_vs_uint64.{op}.{fmt_name}"] > 0
+
+
+def test_every_crossover_entry_has_a_row(show_once):
+    """The committed :data:`repro.fp.ops.CROSSOVER` literal is set from
+    the sweep's ``crossover.<op>.<fmt>`` rows: the sweep must measure
+    every entry, each on its power-of-two grid (or just past it)."""
+    from repro.bench import CROSSOVER_GRID
+    from repro.fp.ops import CROSSOVER
+
+    snapshot = _shared_snapshot()
+    show_once("bench.lanes", render(snapshot))
+    values = row_values(snapshot)
+    allowed = set(CROSSOVER_GRID) | {2 * CROSSOVER_GRID[-1]}
+    for op, row in CROSSOVER.items():
+        for fmt in row:
+            assert values[f"crossover.{op}.{fmt.name}"] in allowed, (op, fmt.name)

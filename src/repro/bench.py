@@ -8,7 +8,8 @@ trajectory can accumulate over time:
 * **kernel** — stepped vs wavefront-batched vs fused array simulation at
   small sizes, batched-only scaling at Fig 5/6-style sizes;
 * **lanes** — every narrow-lane add/sub/mul against the same code pinned
-  to ``uint64`` lanes;
+  to ``uint64`` lanes, and the scalar-vs-``vec_*`` crossover batch size
+  of every op and format;
 * **service** — batched vs unbatched in-process dispatch, tracing on vs
   off, the per-stage span breakdown and a loopback HTTP run;
 * **explore** — cold vs warm frontier computation and recommendation.
@@ -56,6 +57,8 @@ DEFAULT_SCAN_SIZES = (64, 128, 256)
 DEFAULT_LANES_N = 1 << 20
 #: Ops that run on narrow lanes, benchmarked per narrow-lane format.
 LANE_BENCH_OPS = ("add", "sub", "mul")
+#: Batch sizes the crossover sweep tries: powers of two up to 256.
+CROSSOVER_GRID = tuple(1 << k for k in range(9))
 
 
 def _best_of(fn: Callable[[], object], repeats: int) -> float:
@@ -219,11 +222,20 @@ def lanes_bench(
     ``lane_vs_uint64.{op}.{fmt}``.  Every timed pair is also
     cross-checked element-wise (bits and flags), so a benchmark run
     doubles as an equivalence check exactly like :func:`kernel_bench`.
+
+    The crossover sweep then records, for every op and format, the
+    smallest ``n`` on :data:`CROSSOVER_GRID` at which one ``vec_*`` call
+    beats the scalar loop over the same ``n`` random operand tuples
+    (both with flags, as :func:`repro.fp.ops.execute` runs them) as
+    ``crossover.{op}.{fmt}``; twice the largest grid size when ``vec_*``
+    never wins on the grid.  :data:`repro.fp.ops.CROSSOVER` is set from
+    these rows.
     """
     import numpy as np
 
     from repro.fp import vectorized
     from repro.fp.format import ALL_FORMATS
+    from repro.fp.ops import OP_TABLE, scalar_loop, vector_call
 
     rng = np.random.default_rng(seed)
     rows: list[dict] = []
@@ -261,9 +273,30 @@ def lanes_bench(
                 _row(f"{dtype}.{op}.{fmt.name}.n{n}", "s", t_native),
                 _row(f"lane_vs_uint64.{op}.{fmt.name}", "x", t_wide / t_native),
             ]
+    for op, row in OP_TABLE.items():
+        for fmt in ALL_FORMATS:
+            crossover = 2 * CROSSOVER_GRID[-1]
+            for size in CROSSOVER_GRID:
+                columns = [
+                    rng.integers(0, fmt.word_mask, size=size, dtype=np.uint64,
+                                 endpoint=True)
+                    for _ in range(row.arity)
+                ]
+                t_scalar = _best_of(
+                    lambda: scalar_loop(row.scalar, fmt, mode, columns), repeats
+                )
+                t_vector = _best_of(
+                    lambda: vector_call(row.vectorized, fmt, mode, columns),
+                    repeats,
+                )
+                if t_vector < t_scalar:
+                    crossover = size
+                    break
+            rows.append(_row(f"crossover.{op}.{fmt.name}", "count", crossover))
     return _snapshot("lanes", {
         "n": n,
         "ops": list(ops),
+        "crossover_grid": list(CROSSOVER_GRID),
         "mode": mode.value,
         "repeats": repeats,
         "seed": seed,

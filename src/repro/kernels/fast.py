@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fp.format import FPFormat
+from repro.fp.ops import execute
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import (
     check_vectorized_format,
@@ -93,7 +94,9 @@ def dot_vectorized(
 
     Matches :func:`repro.kernels.dotproduct.functional_dot`: the ``lanes``
     partials each accumulate every ``lanes``-th element in index order
-    (vectorized across lanes per round), then reduce pairwise.
+    (one :func:`~repro.fp.ops.execute` call across lanes per round, so
+    rounds narrower than the crossover run on the scalar datapath), then
+    reduce pairwise.
     """
     check_vectorized_format(fmt)
     xs = np.asarray(xs, dtype=np.uint64)
@@ -107,12 +110,14 @@ def dot_vectorized(
     for start in range(0, n, lanes):
         chunk = slice(start, min(start + lanes, n))
         width = chunk.stop - chunk.start
-        prod = vec_mul(fmt, xs[chunk], ys[chunk], mode)
-        partials[:width] = vec_add(fmt, partials[:width], prod, mode)
+        prod, _ = execute("mul", fmt, mode, xs[chunk], ys[chunk])
+        partials[:width], _ = execute("add", fmt, mode, partials[:width], prod)
     level = partials
     while len(level) > 1:
         pairs = len(level) // 2
-        merged = vec_add(fmt, level[0 : 2 * pairs : 2], level[1 : 2 * pairs : 2], mode)
+        merged, _ = execute(
+            "add", fmt, mode, level[0 : 2 * pairs : 2], level[1 : 2 * pairs : 2]
+        )
         if len(level) % 2:
             merged = np.concatenate([merged, level[-1:]])
         level = merged

@@ -3,10 +3,12 @@
 The serving front door for the reproduction: a stdlib-only asyncio HTTP
 server (``repro serve``) that exposes the FP evaluation surface and
 keeps it fast and observable under load.  Concurrent scalar op requests
-are coalesced into single vectorized datapath calls (amortizing the
-~150µs fixed NumPy dispatch cost exactly the way the paper's pipelined
-units amortize issue overhead across a burst of operands), with bounded
-admission, per-request deadlines, graceful drain, and live metrics.
+are coalesced into batches; a batch past its op's crossover runs as one
+vectorized datapath call (amortizing the fixed NumPy dispatch cost
+exactly the way the paper's pipelined units amortize issue overhead
+across a burst of operands) and a smaller one on the scalar datapath,
+with bounded admission, per-request deadlines, graceful drain, and live
+metrics.
 
 Layering::
 
@@ -14,7 +16,7 @@ Layering::
     telemetry.py  the /healthz + /metrics registry: repro.obs.metrics
                   instruments plus the engine's own job counter
     admission.py  bounded in-flight work, 429 backpressure, drain
-    batcher.py    per-lane micro-batching onto the fp.ops vectorized lanes
+    batcher.py    per-lane micro-batching onto fp.ops.execute
     http.py       minimal HTTP/1.1 wire layer over asyncio streams
     handlers.py   endpoint implementations and routing
     server.py     ReproService wiring, lifecycle, SIGTERM drain

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.service.telemetry import Telemetry
 
@@ -38,6 +38,9 @@ class AdmissionController:
         self.telemetry = telemetry
         self.in_flight = 0
         self.draining = False
+        #: Called after every release (the micro-batcher listens, to
+        #: flush lanes nobody else can join any more).
+        self.on_release: Optional[Callable[[], None]] = None
         self._idle: Optional[asyncio.Event] = None  # created lazily in-loop
         # Pre-resolved stage histogram so sampled admissions fold their
         # wait straight in, without a per-label lookup per request.
@@ -104,6 +107,8 @@ class AdmissionController:
             self.telemetry.queue_depth.set(self.in_flight)
         if self.draining and self.in_flight == 0 and self._idle is not None:
             self._idle.set()
+        if self.on_release is not None:
+            self.on_release()
 
     @property
     def retry_after_s(self) -> int:

@@ -1,32 +1,38 @@
-"""Micro-batching: coalesce concurrent scalar op requests into vector calls.
+"""Micro-batching: coalesce concurrent scalar op requests into one call.
 
-A single :func:`~repro.fp.vectorized.vec_mul` call costs ~150µs of NumPy
-dispatch whether it multiplies 1 pair or 64 — the service's whole
-throughput story is amortizing that fixed cost.  Concurrent requests for
-the *same* (op, format, rounding mode) lane are queued and flushed as
-one vectorized call under a max-batch-size / max-linger policy:
+Concurrent requests for the *same* (op, format, rounding mode) lane are
+queued and flushed together.  A flushed batch runs through
+:func:`repro.fp.ops.execute`, which picks the datapath by batch size: a
+``vec_*`` call costs 100µs-1.7ms of fixed NumPy dispatch whether it
+runs 1 element or 64, so below the committed (op, format) crossover the
+batch runs element by element on the scalar datapath, and at or above
+it as one vectorized call.  The flush policy:
 
 * a batch flushes as soon as ``max_batch`` requests are waiting;
-* a non-full batch flushes ``linger_ms`` after its first request, so a
-  lone request never waits longer than the linger;
+* a non-full batch lingers for stragglers only while another admitted
+  request could still join it: once every admitted request is already
+  queued in some lane, it flushes at once;
+* ``linger_ms`` caps the wait, so a lone request never waits longer
+  (a batcher built without an admission controller cannot tell who
+  could join, and always lingers to the cap);
 * a burst larger than ``max_batch`` splits into consecutive full
   batches (the lane worker just keeps draining);
 * requests for different formats or rounding modes **never** share a
   batch — lanes are keyed by the exact datapath configuration.
 
-Each request gets its own element of the result array and its own
-element of the ``with_flags=True`` exception sideband, so responses are
-bit- and flag-identical to scalar :func:`~repro.fp.adder.fp_add` /
-:func:`~repro.fp.multiplier.fp_mul` calls on the same operands — one
-neighbour's overflow cannot leak into another's flags.  As an integrity
-guard, every batch optionally replays one sampled element through the
-scalar datapath and fails the whole batch on any mismatch (cost
-amortized across the batch, like the bit cross-checks in
-``repro.bench``).
+Each request gets its own result element and its own element of the
+flag sideband, so responses are bit- and flag-identical to scalar
+:func:`~repro.fp.adder.fp_add` / :func:`~repro.fp.multiplier.fp_mul`
+calls on the same operands — one neighbour's overflow cannot leak into
+another's flags.  As an integrity guard, every vectorized batch
+optionally replays one sampled element through the scalar datapath and
+fails the whole batch on any mismatch (cost amortized across the
+batch, like the bit cross-checks in ``repro.bench``); a batch that ran
+on the scalar datapath is its own reference and skips the check.
 
 Batch execution runs on a dedicated single worker thread
-(``run_in_executor``) so a 300µs+ wide-format vector call never blocks
-the event loop's accept/parse work.
+(``run_in_executor``) so a 300µs+ wide-format batch never blocks the
+event loop's accept/parse work.
 """
 
 from __future__ import annotations
@@ -35,15 +41,14 @@ import asyncio
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fp.format import FPFormat
-from repro.fp.ops import OP_ARITY, OP_TABLE
+from repro.fp.ops import OP_ARITY, OP_TABLE, execute, runs_scalar
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import lane_dtype
 from repro.obs.trace import NULL_TRACE, Span
+from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
 from repro.service.telemetry import Telemetry
 
@@ -86,20 +91,18 @@ def execute_batch(
     requests: List[Tuple[int, ...]],
     spot_check: bool = True,
 ) -> List[Tuple[int, int]]:
-    """Run one homogeneous batch through the vectorized datapath.
+    """Run one homogeneous batch through :func:`repro.fp.ops.execute`.
 
     ``requests`` is one operand tuple per request (arity words each).
     Returns one ``(bits, flags)`` pair per request, in request order.
     Runs on the executor thread; everything it touches is local.
     """
-    scalar_fn, vec_fn, arity = OPS[op]
+    scalar_fn, vec_fn, _ = OPS[op]
     n = len(requests)
-    columns = [
-        np.fromiter((t[j] for t in requests), dtype=np.uint64, count=n)
-        for j in range(arity)
-    ]
-    bits, flags = vec_fn(fmt, *columns, mode, with_flags=True)
-    if spot_check:
+    bits, flags = execute(
+        op, fmt, mode, *zip(*requests), scalar=scalar_fn, vectorized=vec_fn
+    )
+    if spot_check and not runs_scalar(op, fmt, n):
         # One sampled element per batch, replayed through the scalar
         # datapath: a cheap, always-on differential probe whose cost the
         # batch amortizes.  Rotate the sample with the batch size so
@@ -123,6 +126,11 @@ def execute_batch(
 #: per-request submit path allocation-free).
 _QueueItem = Tuple[Tuple[int, ...], asyncio.Future, object, float]
 
+#: Put on a lingering lane's queue to wake it once no admitted request
+#: could still join: the lane re-checks and flushes.  Lane workers skip
+#: it wherever they take items.
+_WAKE = None
+
 
 @dataclass
 class _Lane:
@@ -131,19 +139,34 @@ class _Lane:
 
 
 class MicroBatcher:
-    """Per-lane queues plus one coalescing worker task per lane."""
+    """Per-lane queues plus one coalescing worker task per lane.
+
+    With an ``admission`` controller, a lane lingers only while some
+    admitted request is not yet queued in any lane (it could still
+    join); the batcher registers itself as the controller's release
+    listener, so a release that leaves nobody outside the lanes flushes
+    the lingering ones.
+    """
 
     def __init__(
         self,
         config: ServiceConfig,
         telemetry: Optional[Telemetry] = None,
         executor: Optional[Executor] = None,
+        admission: Optional[AdmissionController] = None,
     ) -> None:
         self.config = config
         self.telemetry = telemetry
         self.executor = executor
+        self.admission = admission
         self._lanes: Dict[LaneKey, _Lane] = {}
         self._closed = False
+        #: Requests queued in a lane or in a batch still lingering.
+        self._queued = 0
+        #: Queues of the lanes waiting out a linger right now.
+        self._lingering: Set[asyncio.Queue] = set()
+        if admission is not None:
+            admission.on_release = self._wake
         # Stage latency folds in at the flush, not at trace finish.
         # Lingers differ per member so each sampled member observes its
         # own; admission waits on the admitted path are structurally
@@ -203,7 +226,20 @@ class MicroBatcher:
         if trace is None:
             trace = NULL_TRACE
         lane.queue.put_nowait((operands, future, trace, time.perf_counter()))
+        self._queued += 1
+        self._wake()
         return await future
+
+    def _could_join(self) -> bool:
+        """True while some admitted request is queued in no lane yet."""
+        return self.admission is None or self.admission.in_flight > self._queued
+
+    def _wake(self) -> None:
+        """Flush every lingering lane once no admitted request could join."""
+        if self._lingering and not self._could_join():
+            for queue in self._lingering:
+                queue.put_nowait(_WAKE)
+            self._lingering.clear()
 
     # ------------------------------------------------------------------ #
     # lane worker
@@ -215,25 +251,30 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         while True:
             first = await queue.get()
+            if first is _WAKE:
+                continue  # its linger already ended
             batch = [first]
             # Drain whatever is already waiting — no timers involved.
-            while len(batch) < max_batch and not queue.empty():
-                batch.append(queue.get_nowait())
-            # Linger for stragglers, re-draining after each arrival.
+            _drain(queue, batch, max_batch)
+            # Linger for stragglers that could still come, re-draining
+            # after each arrival.
             if len(batch) < max_batch and linger_s > 0:
                 deadline = loop.time() + linger_s
-                while len(batch) < max_batch:
+                while len(batch) < max_batch and self._could_join():
                     remaining = deadline - loop.time()
                     if remaining <= 0:
                         break
+                    self._lingering.add(queue)
                     try:
-                        batch.append(
-                            await asyncio.wait_for(queue.get(), remaining)
-                        )
+                        item = await asyncio.wait_for(queue.get(), remaining)
                     except asyncio.TimeoutError:
                         break
-                    while len(batch) < max_batch and not queue.empty():
-                        batch.append(queue.get_nowait())
+                    finally:
+                        self._lingering.discard(queue)
+                    if item is not _WAKE:
+                        batch.append(item)
+                    _drain(queue, batch, max_batch)
+            self._queued -= len(batch)
             await self._flush(op, fmt, mode, batch)
 
     async def _flush(
@@ -244,10 +285,11 @@ class MicroBatcher:
         batch: List[_QueueItem],
     ) -> None:
         requests = [operands for operands, _, _, _ in batch]
+        scalar = runs_scalar(op, fmt, len(batch))
         if self.telemetry is not None:
             self.telemetry.batch_size.observe(len(batch))
             self.telemetry.batches_total.inc((op, fmt.name, mode.value))
-            if self.config.spot_check:
+            if self.config.spot_check and not scalar:
                 self.telemetry.spot_checks_total.inc()
         # Per-member span work happens once, after execution: each
         # sampled member's admission.wait (structurally zero — the
@@ -268,6 +310,7 @@ class MicroBatcher:
                     "lane": f"{op}/{fmt.name}/{mode.value}",
                     "batch_size": len(batch),
                     "dtype": lane_dtype(op, fmt),
+                    "path": "scalar" if scalar else "vector",
                 },
             )
         loop = asyncio.get_running_loop()
@@ -347,3 +390,12 @@ class MicroBatcher:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
         self._lanes.clear()
+
+
+def _drain(queue: asyncio.Queue, batch: List[_QueueItem], max_batch: int) -> None:
+    """Move waiting items into ``batch`` (up to ``max_batch``), skipping
+    wake-ups."""
+    while len(batch) < max_batch and not queue.empty():
+        item = queue.get_nowait()
+        if item is not _WAKE:
+            batch.append(item)

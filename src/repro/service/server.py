@@ -89,7 +89,9 @@ class ReproService:
         self.sweep_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-sweep"
         )
-        self.batcher = MicroBatcher(config, self.telemetry, self.compute_pool)
+        self.batcher = MicroBatcher(
+            config, self.telemetry, self.compute_pool, self.admission
+        )
         # Stage latencies fold into telemetry at the point each stage
         # is recorded (admission folds its wait, the batcher folds
         # linger per member and dispatch/scatter as one weighted

@@ -533,8 +533,12 @@ class _StructuralCore:
     """A staged pipeline over one micro-op list.
 
     Issued words land on the bundle keys ``operands``, in order, over the
-    fields of ``seed``.
+    fields of ``seed``.  ``keywords`` names the extra bundle inputs the
+    micro-ops read (the adder's ``subtract``); any other keyword is a
+    :class:`ValueError`, not a silently ignored bundle field.
     """
+
+    keywords: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -561,7 +565,7 @@ class _StructuralCore:
         elif None in words:
             raise ValueError("issue all operands or none")
         else:
-            bundle = {**_bundle(self.operands, words, self._seed), **extra}
+            bundle = self._issue(words, extra)
         out, done = self.pipe.step(bundle)
         if not done:
             return None, False
@@ -569,10 +573,18 @@ class _StructuralCore:
 
     def compute(self, *words: int, **extra) -> tuple[int, FPFlags]:
         """Single-shot: run the micro-op list on one issue."""
-        state = run_micro_ops(
-            self.micro_ops, {**_bundle(self.operands, words, self._seed), **extra}
-        )
+        state = run_micro_ops(self.micro_ops, self._issue(words, extra))
         return state["result"], state["flags"]
+
+    def _issue(self, words: Sequence[int], extra: State) -> State:
+        """The bundle of one issue: operands, seed fields and keywords."""
+        for name in extra:
+            if name not in self.keywords:
+                raise ValueError(
+                    f"{type(self).__name__} takes no keyword {name!r} "
+                    f"(accepts: {', '.join(self.keywords) or 'none'})"
+                )
+        return {**_bundle(self.operands, words, self._seed), **extra}
 
     @property
     def latency(self) -> int:
@@ -602,9 +614,11 @@ class _OpCore(_StructuralCore):
 
 
 class StructuralFPAdder(_OpCore):
-    """Stage-by-stage FP adder/subtractor (see module docstring)."""
+    """Stage-by-stage FP adder/subtractor (see module docstring);
+    ``subtract=True`` on an issue subtracts."""
 
     op = "add"
+    keywords = ("subtract",)
 
 
 class StructuralFPMultiplier(_OpCore):

@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.fp.format import BF16, FP16, FP32, FP64
+from repro.fp.ops import CROSSOVER
 from repro.fp.rounding import RoundingMode
 from repro.fp.vectorized import lane_dtype
 from repro.service.batcher import (
@@ -64,6 +65,14 @@ def run_batched(config, submissions):
     finally:
         executor.shutdown(wait=True)
     return results, executor.batches
+
+
+@pytest.fixture
+def vector_path(monkeypatch):
+    """Every batch runs ``vec_*``, whatever its size: the path the spot
+    check guards."""
+    for op in CROSSOVER:
+        monkeypatch.setitem(CROSSOVER, op, {})
 
 
 def scalar(op, fmt, mode, *operands):
@@ -270,7 +279,7 @@ class TestBatchingPolicy:
 
 
 class TestIntegrityAndLifecycle:
-    def test_spot_check_catches_divergence(self, monkeypatch):
+    def test_spot_check_catches_divergence(self, monkeypatch, vector_path):
         # Corrupt the scalar reference for 'mul': the per-batch spot
         # check must now fail the whole batch with BatchIntegrityError.
         real_scalar, vec, arity = OPS["mul"]
@@ -284,7 +293,7 @@ class TestIntegrityAndLifecycle:
         with pytest.raises(BatchIntegrityError):
             run_batched(config, [("mul", FP32, RNE, 3, 5)])
 
-    def test_failed_batch_traces_error_and_stages(self, monkeypatch):
+    def test_failed_batch_traces_error_and_stages(self, monkeypatch, vector_path):
         # A sampled member of a failing batch still gets its pipeline
         # spans — with the dispatch span carrying the error tag.
         from repro.obs.trace import Trace
@@ -314,7 +323,7 @@ class TestIntegrityAndLifecycle:
         assert doc["spans"][0]["tags"]["verdict"] == "ok"
         assert doc["spans"][2]["tags"]["error"] == "BatchIntegrityError"
 
-    def test_spot_check_can_be_disabled(self, monkeypatch):
+    def test_spot_check_can_be_disabled(self, monkeypatch, vector_path):
         real_scalar, vec, arity = OPS["mul"]
         monkeypatch.setitem(
             OPS, "mul",
@@ -348,7 +357,7 @@ class TestIntegrityAndLifecycle:
 
         asyncio.run(_run())
 
-    def test_telemetry_observes_batches(self):
+    def test_telemetry_observes_batches(self, vector_path):
         config = ServiceConfig(max_batch=4, linger_ms=10)
         executor = RecordingExecutor()
         telemetry = Telemetry()
@@ -372,3 +381,58 @@ class TestIntegrityAndLifecycle:
             executor.batches
         )
         assert telemetry.spot_checks_total.total == len(executor.batches)
+
+    def test_scalar_path_batches_skip_the_spot_check(self):
+        # Batches below the crossover ran on the scalar datapath, which
+        # is the reference: no spot check, none counted, and their
+        # dispatch spans say which path ran.
+        from repro.fp.ops import runs_scalar
+        from repro.obs.trace import Trace
+
+        config = ServiceConfig(max_batch=4, linger_ms=10)
+        executor = RecordingExecutor()
+        telemetry = Telemetry()
+        traces = [Trace(f"t-{i}", route="/v1/op/mul") for i in range(8)]
+
+        async def _run():
+            batcher = MicroBatcher(config, telemetry, executor)
+            try:
+                return await asyncio.gather(
+                    *(batcher.submit("mul", FP32, RNE, i, i, trace=t)
+                      for i, t in enumerate(traces))
+                )
+            finally:
+                await batcher.close()
+
+        try:
+            results = asyncio.run(_run())
+        finally:
+            executor.shutdown(wait=True)
+        assert all(runs_scalar("mul", FP32, len(b[3])) for b in executor.batches)
+        assert telemetry.spot_checks_total.total == 0
+        for i, got in enumerate(results):
+            assert tuple(got) == scalar("mul", FP32, RNE, i, i)
+        for trace in traces:
+            (dispatch,) = [
+                s for s in trace.to_dict()["spans"]
+                if s["name"] == "batch.dispatch"
+            ]
+            assert dispatch["tags"]["path"] == "scalar"
+
+    def test_vector_path_dispatch_span_says_vector(self, vector_path):
+        from repro.obs.trace import Trace
+
+        trace = Trace("t-vec", route="/v1/op/mul")
+
+        async def _run():
+            batcher = MicroBatcher(ServiceConfig(linger_ms=1), Telemetry())
+            try:
+                await batcher.submit("mul", FP32, RNE, 3, 5, trace=trace)
+            finally:
+                await batcher.close()
+
+        asyncio.run(_run())
+        (dispatch,) = [
+            s for s in trace.to_dict()["spans"] if s["name"] == "batch.dispatch"
+        ]
+        assert dispatch["tags"]["path"] == "vector"

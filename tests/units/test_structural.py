@@ -195,6 +195,25 @@ class TestCoreInterface:
     def test_latency_property(self):
         assert StructuralFPAdder(FP32, 7).latency == 7
 
+    def test_misspelled_subtract_is_rejected(self):
+        # A typo must not silently add: 5 + 2 would come back as 7.0.
+        five = FPValue.from_float(FP32, 5.0).bits
+        two = FPValue.from_float(FP32, 2.0).bits
+        unit = StructuralFPAdder(FP32, 3)
+        with pytest.raises(ValueError, match="subtact"):
+            unit.compute(five, two, subtact=True)
+        with pytest.raises(ValueError, match="subtact"):
+            unit.step(five, two, subtact=True)
+
+    def test_subtract_is_the_adders_keyword_only(self):
+        five = FPValue.from_float(FP32, 5.0).bits
+        two = FPValue.from_float(FP32, 2.0).bits
+        unit = StructuralFPMultiplier(FP32, 3)
+        with pytest.raises(ValueError, match="subtract"):
+            unit.compute(five, two, subtract=True)
+        with pytest.raises(ValueError, match="subtract"):
+            unit.step(five, two, subtract=True)
+
 
 CORES = (
     StructuralFPAdder,
