@@ -6,8 +6,11 @@ execute → scatter) driven by 64 concurrent closed-loop workers, once
 with ``max_batch=64`` and once with ``max_batch=1``.  Identical
 machinery on both sides, so the ratio isolates exactly what coalescing
 requests into vectorized datapath calls buys, independent of host speed
-or loopback quality.  Full-stack HTTP numbers are recorded for the
-snapshot but not gated — they measure the wire, not the batcher.
+or loopback quality.  The size-adaptive crossover is disabled for the
+gate: otherwise the one-request batches run the scalar datapath, and the
+ratio would move with the scalar datapath's speed instead.  Full-stack
+HTTP numbers are recorded for the snapshot but not gated — they measure
+the wire, not the batcher.
 
 The tracing-overhead gate is self-relative the same way: the identical
 batched workload with trace sampling at the default 1.0 vs 0.0.  It
@@ -28,6 +31,7 @@ cannot produce a clean-looking pair by luck.
 import time
 
 from repro.bench import dispatch_rps, row_values, service_bench
+from repro.fp.ops import CROSSOVER
 from repro.obs.trace import REQUEST_STAGES
 
 #: The issue's gate: batched dispatch at the service's default batching
@@ -42,7 +46,9 @@ REQUESTS = 4096
 MAX_TRACING_OVERHEAD = 0.10
 
 
-def test_batched_dispatch_beats_sequential(show_once):
+def test_batched_dispatch_beats_sequential(show_once, monkeypatch):
+    for op in CROSSOVER:  # every batch runs vec_*, whatever its size
+        monkeypatch.setitem(CROSSOVER, op, {})
     batched_rps, mean_batch, stages = dispatch_rps(
         64, concurrency=CONCURRENCY, requests=REQUESTS
     )

@@ -16,9 +16,10 @@ Semantics follow the paper's Section 3:
 * exceptions (overflow, underflow, invalid, inexact) are detected at every
   stage and carried forward, matching the hardware's per-stage flag chain.
 
-The datapaths are written subunit-by-subunit (:mod:`repro.fp.subunits`) so
-that the same building blocks drive both the numeric simulation and the
-area/timing models in :mod:`repro.fabric`.
+Each datapath is written once, as a tuple of named stages
+(:mod:`repro.fp.stages`) over the subunits of :mod:`repro.fp.subunits`: the
+scalar ``fp_*`` functions chain the stages, and the structural cores of
+:mod:`repro.units.structural` register the same functions.
 """
 
 from repro.fp.adder import FPAdder, fp_add, fp_sub

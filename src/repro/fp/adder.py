@@ -32,12 +32,22 @@ them (paper §3).
 
 from __future__ import annotations
 
-from repro.fp.flags import FPFlags
+from functools import cache
+
+from repro.fp.flags import (
+    CLEAR,
+    INEXACT,
+    INVALID,
+    OVERFLOW,
+    UNDERFLOW,
+    ZERO,
+    FPFlags,
+)
 from repro.fp.format import FPFormat
-from repro.fp.rounding import RoundingMode, round_significand
+from repro.fp.rounding import RoundingMode
+from repro.fp.stages import Done, Stage, out_of_range, rounder, run
 from repro.fp.subunits import (
     align_shift,
-    denormalize,
     exponent_compare,
     mantissa_compare,
     normalize_shift_amount,
@@ -48,29 +58,103 @@ from repro.fp.subunits import (
 GRS_BITS = 3
 
 
-def _special_add(
-    fmt: FPFormat,
-    a: int,
-    b: int,
-) -> tuple[int, FPFlags] | None:
-    """Resolve NaN/Inf operand cases; return None for the normal path."""
-    a_nan, b_nan = fmt.is_nan(a), fmt.is_nan(b)
-    if a_nan or b_nan:
-        return fmt.nan(), FPFlags(invalid=True)
-    a_inf, b_inf = fmt.is_inf(a), fmt.is_inf(b)
-    if a_inf and b_inf:
-        sa, _, _ = fmt.unpack(a)
-        sb, _, _ = fmt.unpack(b)
-        if sa != sb:  # (+Inf) + (-Inf)
-            return fmt.nan(), FPFlags(invalid=True)
-        return fmt.inf(sa), FPFlags()
-    if a_inf:
-        sa, _, _ = fmt.unpack(a)
-        return fmt.inf(sa), FPFlags()
-    if b_inf:
-        sb, _, _ = fmt.unpack(b)
-        return fmt.inf(sb), FPFlags()
-    return None
+@cache
+def adder_stages(fmt: FPFormat, mode: RoundingMode) -> tuple[Stage, ...]:
+    """The Figure 1a datapath as eight stages over ``(a, b, subtract)``;
+    a true ``subtract`` flips ``b``'s sign bit before unpacking."""
+    width, man_bits, man_mask = fmt.width, fmt.man_bits, fmt.man_mask
+    exp_mask, exp_max = fmt.exp_mask, fmt.exp_max
+    sign_shift = width - 1
+    hidden = 1 << man_bits
+    inf, nan = exp_max << man_bits, fmt.nan()
+    wide = fmt.sig_bits + GRS_BITS  # significand + GRS working width
+    rnd = rounder(fmt, mode)
+
+    def unpack(a, b, subtract):
+        if (a | b) >> width:
+            out_of_range(fmt, a, b)
+        if subtract:
+            b ^= 1 << sign_shift
+        s1, e1, f1 = a >> sign_shift, (a >> man_bits) & exp_mask, a & man_mask
+        s2, e2, f2 = b >> sign_shift, (b >> man_bits) & exp_mask, b & man_mask
+        if e1 == exp_max or e2 == exp_max:
+            # NaN operand or (+Inf) + (-Inf): invalid; else the Inf wins.
+            if (e1 == exp_max and f1) or (e2 == exp_max and f2):
+                return Done((nan, INVALID))
+            if e1 == e2 and s1 != s2:
+                return Done((nan, INVALID))
+            return Done((((s1 if e1 == exp_max else s2) << sign_shift) | inf, CLEAR))
+        return s1, e1, f1, s2, e2, f2
+
+    def denorm(s1, e1, f1, s2, e2, f2):
+        # Biased exponent 0 means zero in this system.
+        if e1 == 0 and e2 == 0:
+            # IEEE: equal-signed zeros keep the sign; opposite-signed give +0.
+            return Done(((s1 << sign_shift) if s1 == s2 else 0, ZERO))
+        if e1 == 0:
+            return Done(((s2 << sign_shift) | (e2 << man_bits) | f2, CLEAR))
+        if e2 == 0:
+            return Done(((s1 << sign_shift) | (e1 << man_bits) | f1, CLEAR))
+        return hidden | f1, hidden | f2, s1, s2, e1, e2
+
+    def swap_stage(m1, m2, s1, s2, e1, e2):
+        swap_exp, diff = exponent_compare(e1, e2)
+        if not swap_exp and e1 == e2 and mantissa_compare(m1, m2):
+            swap_exp = True
+        m1, m2 = swap(m1, m2, swap_exp)
+        s1, s2 = swap(s1, s2, swap_exp)
+        return m1, m2, s1, s2, e2 if swap_exp else e1, diff
+
+    def align(m1, m2, s1, s2, exp, diff):
+        small, sticky = align_shift(m2 << GRS_BITS, diff, wide)
+        return m1 << GRS_BITS, small, sticky, s1, s2, exp
+
+    def add_sub(big, small, sticky, s1, s2, exp):
+        if s1 != s2:
+            # Residual of the saturating shifter becomes a sticky borrow; the
+            # post-normalization parity argument keeps RNE exact (module doc).
+            total = big - small - sticky
+            if total == 0:
+                # Exact cancellation: +0 in both rounding modes.
+                return Done((0, ZERO))
+        else:
+            total = big + small
+            if total >> wide:  # carry out: pre-normalizer right shift
+                sticky |= total & 1
+                total >>= 1
+                exp += 1
+        return total, exp, sticky, s1
+
+    def normalize(total, exp, sticky, s1):
+        lsh = normalize_shift_amount(total, wide)
+        if lsh > 0:
+            total <<= lsh
+            exp -= lsh
+            if exp <= 0:
+                # Result fell below the normal range: flush to zero.
+                return Done((s1 << sign_shift, UNDERFLOW))
+        return total, exp, sticky, s1
+
+    def round_stage(total, exp, sticky, s1):
+        sig, exp, inexact = rnd(total >> GRS_BITS, (total & 0b111) | sticky, exp)
+        return sig, exp, inexact, s1
+
+    def pack(sig, exp, inexact, s1):
+        if exp >= exp_max:
+            return Done(((s1 << sign_shift) | inf, OVERFLOW))
+        word = (s1 << sign_shift) | (exp << man_bits) | (sig & man_mask)
+        return Done((word, INEXACT if inexact else CLEAR))
+
+    return (
+        Stage("unpack", unpack),
+        Stage("denorm", denorm, ("m1", "m2")),
+        Stage("swap", swap_stage),
+        Stage("align", align, ("big", "small", "sticky")),
+        Stage("add_sub", add_sub, ("total", "exp", "sticky")),
+        Stage("normalize", normalize, ("total", "exp")),
+        Stage("round", round_stage, ("sig", "exp", "inexact")),
+        Stage("pack", pack),
+    )
 
 
 def fp_add(
@@ -80,74 +164,7 @@ def fp_add(
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
 ) -> tuple[int, FPFlags]:
     """Add two words of format ``fmt``; returns ``(result bits, flags)``."""
-    special = _special_add(fmt, a, b)
-    if special is not None:
-        return special
-
-    s1, e1, f1 = fmt.unpack(a)
-    s2, e2, f2 = fmt.unpack(b)
-
-    # --- Stage 1: denormalize ------------------------------------------ #
-    m1 = denormalize(fmt, e1, f1)
-    m2 = denormalize(fmt, e2, f2)
-
-    # Zero operands (biased exponent 0 means zero in this system).
-    if e1 == 0 and e2 == 0:
-        # IEEE: equal-signed zeros keep the sign; opposite-signed give +0.
-        sign = s1 if s1 == s2 else 0
-        return fmt.zero(sign), FPFlags(zero=True)
-    if e1 == 0:
-        return fmt.pack(s2, e2, f2), FPFlags()
-    if e2 == 0:
-        return fmt.pack(s1, e1, f1), FPFlags()
-
-    # --- Stage 1: compare / swap / align -------------------------------- #
-    swap_exp, diff = exponent_compare(e1, e2)
-    if not swap_exp and e1 == e2 and mantissa_compare(m1, m2):
-        swap_exp = True
-    (m1, m2) = swap(m1, m2, swap_exp)
-    (s1, s2) = swap(s1, s2, swap_exp)
-    exp = e2 if swap_exp else e1
-
-    wide = fmt.sig_bits + GRS_BITS  # significand + GRS working width
-    big = m1 << GRS_BITS
-    small, sticky = align_shift(m2 << GRS_BITS, diff, wide)
-
-    # --- Stage 2: fixed-point add/subtract ------------------------------ #
-    subtract = s1 != s2
-    if subtract:
-        # Residual of the saturating shifter becomes a sticky borrow; the
-        # post-normalization parity argument keeps RNE exact (module doc).
-        total = big - small - sticky
-        if total == 0:
-            # Exact cancellation: +0 in both rounding modes.
-            return fmt.zero(0), FPFlags(zero=True)
-    else:
-        total = big + small
-        if total >> wide:  # carry out: pre-normalizer right shift
-            sticky |= total & 1
-            total >>= 1
-            exp += 1
-
-    # --- Stage 3: normalize --------------------------------------------- #
-    lsh = normalize_shift_amount(total, wide)
-    if lsh > 0:
-        total <<= lsh
-        exp -= lsh
-        if exp <= 0:
-            # Result fell below the normal range: flush to zero.
-            return fmt.zero(s1), FPFlags(underflow=True, inexact=True, zero=True)
-
-    # --- Stage 3: round -------------------------------------------------- #
-    grs = (total & 0b111) | sticky
-    sig, inexact = round_significand(total >> GRS_BITS, grs, mode)
-    if sig >> fmt.sig_bits:  # rounding carry: 1.11..1 -> 10.00..0
-        sig >>= 1
-        exp += 1
-
-    if exp >= fmt.exp_max:
-        return fmt.inf(s1), FPFlags(overflow=True, inexact=True)
-    return fmt.pack(s1, exp, sig & fmt.man_mask), FPFlags(inexact=inexact)
+    return run(adder_stages(fmt, mode), a, b, False)
 
 
 def fp_sub(
@@ -157,10 +174,7 @@ def fp_sub(
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
 ) -> tuple[int, FPFlags]:
     """Subtract ``b`` from ``a``: sign-flip feeding the same datapath."""
-    sb, eb, fb = fmt.unpack(b)
-    if fmt.is_nan(b):
-        return fmt.nan(), FPFlags(invalid=True)
-    return fp_add(fmt, a, fmt.pack(sb ^ 1, eb, fb), mode)
+    return run(adder_stages(fmt, mode), a, b, True)
 
 
 class FPAdder:

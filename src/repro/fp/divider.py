@@ -23,37 +23,104 @@ Stage 3 (normalize / round)
 Special cases follow IEEE conventions within the denormal-free system:
 x/0 raises ``div_by_zero`` (±Inf), 0/0 and Inf/Inf raise ``invalid``
 (NaN), x/Inf gives signed zero.
+
+The recurrence has two forms around the same other stages: closed form
+(:func:`divider_stages`, one ``divmod``) and the row array
+(:func:`divider_rows`, the structural core).
 """
 
 from __future__ import annotations
 
-from repro.fp.flags import FPFlags
+from functools import cache
+
+from repro.fp.flags import CLEAR, DIV_BY_ZERO, INVALID, ZERO, FPFlags
 from repro.fp.format import FPFormat
-from repro.fp.rounding import RoundingMode, round_significand
-from repro.fp.subunits import denormalize, sign_xor
+from repro.fp.rounding import RoundingMode
+from repro.fp.stages import Done, Stage, out_of_range, packer, rounder, run
+from repro.fp.subunits import sign_xor
 
 
-def _special_div(fmt: FPFormat, a: int, b: int) -> tuple[int, FPFlags] | None:
-    if fmt.is_nan(a) or fmt.is_nan(b):
-        return fmt.nan(), FPFlags(invalid=True)
-    sa = fmt.unpack(a)[0]
-    sb = fmt.unpack(b)[0]
-    sign = sign_xor(sa, sb)
-    a_inf, b_inf = fmt.is_inf(a), fmt.is_inf(b)
-    a_zero, b_zero = fmt.is_zero(a), fmt.is_zero(b)
-    if a_inf and b_inf:
-        return fmt.nan(), FPFlags(invalid=True)
-    if a_zero and b_zero:
-        return fmt.nan(), FPFlags(invalid=True)
-    if a_inf:
-        return fmt.inf(sign), FPFlags()
-    if b_inf:
-        return fmt.zero(sign), FPFlags(zero=True)
-    if b_zero:  # finite non-zero / 0
-        return fmt.inf(sign), FPFlags(div_by_zero=True)
-    if a_zero:
-        return fmt.zero(sign), FPFlags(zero=True)
-    return None
+@cache
+def divider_stages(fmt: FPFormat, mode: RoundingMode) -> tuple[Stage, ...]:
+    """The divider over ``(a, b)``: unpack, the recurrence in closed form
+    (one integer division), normalize/round and pack."""
+    width, man_bits, man_mask = fmt.width, fmt.man_bits, fmt.man_mask
+    exp_mask, exp_max, bias = fmt.exp_mask, fmt.exp_max, fmt.bias
+    sign_shift = width - 1
+    hidden = 1 << man_bits
+    inf, nan = exp_max << man_bits, fmt.nan()
+    steps = man_bits + 3  # quotient bits after the integer one
+    rnd = rounder(fmt, mode)
+
+    def unpack(a, b):
+        if (a | b) >> width:
+            out_of_range(fmt, a, b)
+        e1, f1 = (a >> man_bits) & exp_mask, a & man_mask
+        e2, f2 = (b >> man_bits) & exp_mask, b & man_mask
+        sign = sign_xor(a >> sign_shift, b >> sign_shift)
+        if e1 == exp_max or e2 == exp_max or e1 == 0 or e2 == 0:
+            if (e1 == exp_max and f1) or (e2 == exp_max and f2):
+                return Done((nan, INVALID))  # NaN operand
+            if e1 == e2:
+                return Done((nan, INVALID))  # Inf/Inf or 0/0
+            if e1 == exp_max or e2 == 0:  # Inf/y, or finite non-zero / 0
+                flags = CLEAR if e1 == exp_max else DIV_BY_ZERO
+                return Done(((sign << sign_shift) | inf, flags))
+            return Done((sign << sign_shift, ZERO))  # x/Inf or 0/y
+        rem = hidden | f1
+        div = hidden | f2
+        # The initial compare establishes the recurrence invariant rem < div
+        # (two normalized significands satisfy rem < 2*div), producing the
+        # integer quotient bit.
+        q = 0
+        if rem >= div:
+            rem -= div
+            q = 1
+        return rem, div, q, e1 - e2 + bias, sign
+
+    def recurrence(rem, div, q, exp, sign):
+        # The array's ``steps`` rows at once: the same quotient bits and
+        # final partial remainder as :func:`divider_rows`' row stages.
+        bits, rem = divmod(rem << steps, div)
+        return rem, div, (q << steps) | bits, exp, sign
+
+    def normalize_round(rem, div, q, exp, sign):
+        # q in (2^(wm+2), 2^(wm+4)): ratio in [1,2) gives wm+4 bits, ratio
+        # in (1/2,1) gives wm+3 bits (one-position normalization); the
+        # remainder collapses into the sticky bit.
+        if q >> steps:  # ratio >= 1
+            sig = q >> 3
+            grs = (q & 0b110) | (1 if (q & 0b1) or rem else 0)
+        else:
+            exp -= 1
+            sig = q >> 2
+            grs = ((q & 0b11) << 1) | (1 if rem else 0)
+        return *rnd(sig, grs, exp), sign
+
+    return (
+        Stage("unpack", unpack),
+        Stage("recurrence", recurrence, ("rem", "q")),
+        Stage("normalize_round", normalize_round, ("sig", "exp", "inexact")),
+        Stage("pack", packer(fmt)),
+    )
+
+
+@cache
+def divider_rows(fmt: FPFormat, mode: RoundingMode) -> tuple[Stage, ...]:
+    """:func:`divider_stages` with its recurrence as the hardware array:
+    restoring division, one quotient bit per ``row[i]`` stage."""
+    unpack, _, normalize_round, pack = divider_stages(fmt, mode)
+
+    def row(rem, div, q, exp, sign):
+        rem <<= 1
+        q <<= 1
+        if rem >= div:
+            rem -= div
+            q |= 1
+        return rem, div, q, exp, sign
+
+    rows = (Stage(f"row[{i}]", row, ("rem", "q")) for i in range(fmt.man_bits + 3))
+    return (unpack, *rows, normalize_round, pack)
 
 
 def fp_div(
@@ -63,49 +130,7 @@ def fp_div(
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
 ) -> tuple[int, FPFlags]:
     """Divide ``a`` by ``b``; returns ``(result bits, flags)``."""
-    special = _special_div(fmt, a, b)
-    if special is not None:
-        return special
-
-    s1, e1, f1 = fmt.unpack(a)
-    s2, e2, f2 = fmt.unpack(b)
-    sign = sign_xor(s1, s2)
-
-    # --- Stage 1: denormalize ------------------------------------------- #
-    m1 = denormalize(fmt, e1, f1)
-    m2 = denormalize(fmt, e2, f2)
-
-    # --- Stage 2: digit recurrence ---------------------------------------#
-    # The hardware array produces one quotient bit per row; arithmetically
-    # that is exactly the integer quotient below, with the final partial
-    # remainder collapsing into the sticky bit.
-    num = m1 << (fmt.man_bits + 3)
-    quotient, remainder = divmod(num, m2)
-    exp = e1 - e2 + fmt.bias
-
-    # --- Stage 3: normalize ----------------------------------------------#
-    # quotient in (2^(wm+2), 2^(wm+4)): ratio in [1,2) gives wm+4 bits,
-    # ratio in (1/2,1) gives wm+3 bits (one-position normalization).
-    high = fmt.man_bits + 3
-    if quotient >> high:  # ratio >= 1
-        sig = quotient >> 3
-        grs = (quotient & 0b110) | (1 if (quotient & 0b1) or remainder else 0)
-    else:  # ratio in (1/2, 1)
-        exp -= 1
-        sig = quotient >> 2
-        grs = ((quotient << 1) & 0b110) | (1 if remainder else 0)
-
-    # --- Stage 3: round ----------------------------------------------------#
-    sig, inexact = round_significand(sig, grs, mode)
-    if sig >> fmt.sig_bits:  # rounding carry
-        sig >>= 1
-        exp += 1
-
-    if exp >= fmt.exp_max:
-        return fmt.inf(sign), FPFlags(overflow=True, inexact=True)
-    if exp <= 0:
-        return fmt.zero(sign), FPFlags(underflow=True, inexact=True, zero=True)
-    return fmt.pack(sign, exp, sig & fmt.man_mask), FPFlags(inexact=inexact)
+    return run(divider_stages(fmt, mode), a, b)
 
 
 class FPDivider:

@@ -91,3 +91,13 @@ class FPFlags:
 
 #: Convenience constant: no exceptions.
 CLEAR = FPFlags()
+
+# The flag bundles the datapaths return, built once (FPFlags is frozen).
+INEXACT = FPFlags(inexact=True)
+INVALID = FPFlags(invalid=True)
+ZERO = FPFlags(zero=True)
+DIV_BY_ZERO = FPFlags(div_by_zero=True)
+#: Saturated to Inf.
+OVERFLOW = FPFlags(overflow=True, inexact=True)
+#: Flushed to zero.
+UNDERFLOW = FPFlags(underflow=True, inexact=True, zero=True)

@@ -22,24 +22,70 @@ multiplier array does in hardware.
 
 from __future__ import annotations
 
-from repro.fp.flags import FPFlags
+from functools import cache
+
+from repro.fp.flags import CLEAR, INVALID, ZERO, FPFlags
 from repro.fp.format import FPFormat
-from repro.fp.rounding import RoundingMode, extract_grs, round_significand
-from repro.fp.subunits import denormalize, fixed_mul, sign_xor
+from repro.fp.rounding import RoundingMode, extract_grs
+from repro.fp.stages import Done, Stage, out_of_range, packer, rounder, run
+from repro.fp.subunits import fixed_mul, sign_xor
 
 
-def _special_mul(fmt: FPFormat, a: int, b: int) -> tuple[int, FPFlags] | None:
-    """Resolve NaN/Inf/zero-times-Inf cases; None selects the normal path."""
-    if fmt.is_nan(a) or fmt.is_nan(b):
-        return fmt.nan(), FPFlags(invalid=True)
-    a_inf, b_inf = fmt.is_inf(a), fmt.is_inf(b)
-    if a_inf or b_inf:
-        if fmt.is_zero(a) or fmt.is_zero(b):  # 0 x Inf
-            return fmt.nan(), FPFlags(invalid=True)
-        sa, _, _ = fmt.unpack(a)
-        sb, _, _ = fmt.unpack(b)
-        return fmt.inf(sign_xor(sa, sb)), FPFlags()
-    return None
+@cache
+def multiplier_stages(fmt: FPFormat, mode: RoundingMode) -> tuple[Stage, ...]:
+    """The Figure 1b datapath as six stages over ``(a, b)``."""
+    width, man_bits, man_mask = fmt.width, fmt.man_bits, fmt.man_mask
+    exp_mask, exp_max, bias = fmt.exp_mask, fmt.exp_max, fmt.bias
+    sig_bits, sign_shift = fmt.sig_bits, width - 1
+    hidden = 1 << man_bits
+    inf, nan = exp_max << man_bits, fmt.nan()
+    prod_bits = 2 * sig_bits
+    rnd = rounder(fmt, mode)
+
+    def unpack(a, b):
+        if (a | b) >> width:
+            out_of_range(fmt, a, b)
+        e1, f1 = (a >> man_bits) & exp_mask, a & man_mask
+        e2, f2 = (b >> man_bits) & exp_mask, b & man_mask
+        sign = sign_xor(a >> sign_shift, b >> sign_shift)
+        if e1 == exp_max or e2 == exp_max:
+            # NaN operand or 0 x Inf: invalid; else a signed Inf.
+            if (e1 == exp_max and f1) or (e2 == exp_max and f2):
+                return Done((nan, INVALID))
+            if e1 == 0 or e2 == 0:
+                return Done((nan, INVALID))
+            return Done(((sign << sign_shift) | inf, CLEAR))
+        if e1 == 0 or e2 == 0:  # zero operand (denormals already flushed)
+            return Done((sign << sign_shift, ZERO))
+        return e1, f1, e2, f2, sign
+
+    def denorm(e1, f1, e2, f2, sign):
+        return hidden | f1, hidden | f2, e1, e2, sign
+
+    def multiply(m1, m2, e1, e2, sign):
+        # 2 * sig_bits wide, in [2^(2wm), 2^(2wm+2)); the exponent adder
+        # then the bias subtractor.
+        return fixed_mul(m1, m2), e1 + e2 - bias, sign
+
+    def normalize(product, exp, sign):
+        if product >> (prod_bits - 1):  # product in [2, 4): one-position shift
+            sig, grs = extract_grs(product, sig_bits, prod_bits)
+            return sig, grs, exp + 1, sign
+        sig, grs = extract_grs(product, sig_bits, prod_bits - 1)  # in [1, 2)
+        return sig, grs, exp, sign
+
+    def round_stage(sig, grs, exp, sign):
+        # A rounding carry is the second shift position.
+        return *rnd(sig, grs, exp), sign
+
+    return (
+        Stage("unpack", unpack),
+        Stage("denorm", denorm, ("m1", "m2")),
+        Stage("multiply", multiply, ("product", "exp")),
+        Stage("normalize", normalize, ("sig", "grs", "exp")),
+        Stage("round", round_stage, ("sig", "exp", "inexact")),
+        Stage("pack", packer(fmt)),
+    )
 
 
 def fp_mul(
@@ -49,44 +95,7 @@ def fp_mul(
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
 ) -> tuple[int, FPFlags]:
     """Multiply two words of format ``fmt``; returns ``(bits, flags)``."""
-    special = _special_mul(fmt, a, b)
-    if special is not None:
-        return special
-
-    s1, e1, f1 = fmt.unpack(a)
-    s2, e2, f2 = fmt.unpack(b)
-    sign = sign_xor(s1, s2)
-
-    if e1 == 0 or e2 == 0:  # zero operand (denormals already flushed)
-        return fmt.zero(sign), FPFlags(zero=True)
-
-    # --- Stage 1: denormalize ------------------------------------------- #
-    m1 = denormalize(fmt, e1, f1)
-    m2 = denormalize(fmt, e2, f2)
-
-    # --- Stage 2: mantissa multiply + exponent add/bias ------------------ #
-    product = fixed_mul(m1, m2)  # 2 * sig_bits wide, in [2^(2wm), 2^(2wm+2))
-    exp = e1 + e2 - fmt.bias  # exponent adder then bias subtractor
-
-    # --- Stage 3: normalize ---------------------------------------------- #
-    prod_bits = 2 * fmt.sig_bits
-    if product >> (prod_bits - 1):  # product in [2, 4): one-position shift
-        exp += 1
-        sig, grs = extract_grs(product, fmt.sig_bits, prod_bits)
-    else:  # product in [1, 2)
-        sig, grs = extract_grs(product, fmt.sig_bits, prod_bits - 1)
-
-    # --- Stage 3: round ---------------------------------------------------#
-    sig, inexact = round_significand(sig, grs, mode)
-    if sig >> fmt.sig_bits:  # rounding carry (the second shift position)
-        sig >>= 1
-        exp += 1
-
-    if exp >= fmt.exp_max:
-        return fmt.inf(sign), FPFlags(overflow=True, inexact=True)
-    if exp <= 0:
-        return fmt.zero(sign), FPFlags(underflow=True, inexact=True, zero=True)
-    return fmt.pack(sign, exp, sig & fmt.man_mask), FPFlags(inexact=inexact)
+    return run(multiplier_stages(fmt, mode), a, b)
 
 
 class FPMultiplier:

@@ -19,32 +19,105 @@ are exact; moreover a square root is never an exact tie (an odd
 
 Negative non-zero operands raise ``invalid`` (NaN); ``sqrt(±0) = ±0``;
 ``sqrt(+Inf) = +Inf``.
+
+The recurrence has two forms around the same other stages: closed form
+(:func:`sqrt_stages`, one ``math.isqrt``) and the row array
+(:func:`sqrt_rows`, the structural core).
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
-from repro.fp.flags import FPFlags
+from repro.fp.flags import CLEAR, INEXACT, INVALID, ZERO, FPFlags
 from repro.fp.format import FPFormat
-from repro.fp.rounding import RoundingMode, round_significand
-from repro.fp.subunits import denormalize
+from repro.fp.rounding import RoundingMode
+from repro.fp.stages import Done, Stage, out_of_range, rounder, run
 
 #: Guard bits produced beyond the significand (guard/round + sticky).
 _EXTRA = 3
 
 
-def _special_sqrt(fmt: FPFormat, a: int) -> tuple[int, FPFlags] | None:
-    if fmt.is_nan(a):
-        return fmt.nan(), FPFlags(invalid=True)
-    sign, exp, _ = fmt.unpack(a)
-    if exp == 0:  # signed zero passes through (IEEE)
-        return fmt.zero(sign), FPFlags(zero=True)
-    if sign:
-        return fmt.nan(), FPFlags(invalid=True)
-    if fmt.is_inf(a):
-        return fmt.inf(0), FPFlags()
-    return None
+@cache
+def sqrt_stages(fmt: FPFormat, mode: RoundingMode) -> tuple[Stage, ...]:
+    """The square root over ``(a,)``: unpack, the recurrence in closed
+    form (one integer square root) and round/pack."""
+    width, man_bits, man_mask = fmt.width, fmt.man_bits, fmt.man_mask
+    exp_mask, exp_max, bias = fmt.exp_mask, fmt.exp_max, fmt.bias
+    sign_shift = width - 1
+    hidden = 1 << man_bits
+    nan = fmt.nan()
+    # Scale so the integer square root carries sig_bits + _EXTRA bits:
+    # q = sqrt(m_adj / 2^wm) * 2^t lies in [2^t, 2^(t+1)).
+    t = man_bits + _EXTRA
+    rnd = rounder(fmt, mode)
+
+    def unpack(a):
+        if a >> width:
+            out_of_range(fmt, a)
+        sign, e, f = a >> sign_shift, (a >> man_bits) & exp_mask, a & man_mask
+        if e == 0:  # signed zero passes through (IEEE)
+            return Done((sign << sign_shift, ZERO))
+        if (e == exp_max and f) or sign:
+            return Done((nan, INVALID))  # NaN or negative operand
+        if e == exp_max:
+            return Done((exp_max << man_bits, CLEAR))  # sqrt(+Inf)
+        # value = u * 2^E with u = m / 2^wm in [1, 2) and E = e - bias.  Make
+        # the exponent even by pre-doubling the significand when E is odd:
+        # sqrt(value) = sqrt(u * 2^p) * 2^((E - p) / 2).
+        e_unbiased = e - bias
+        parity = e_unbiased % 2
+        radicand = ((hidden | f) << parity) << (2 * t - man_bits)
+        return radicand, 0, 0, (e_unbiased - parity) // 2
+
+    def recurrence(radicand, q, r, half_exp):
+        # All rows at once: the same result and remainder as
+        # :func:`sqrt_recurrence` (the pinned row form).
+        q = math.isqrt(radicand)
+        return radicand, q, radicand - q * q, half_exp
+
+    def round_pack(radicand, q, r, half_exp):
+        # q in [2^t, 2^(t+1)): significand plus guard/round; the remainder
+        # is sticky.  A normal input gives an exponent strictly inside the
+        # normal range, so there is no overflow or underflow.
+        grs = (q & 0b110) | (1 if (q & 1) or r else 0)
+        sig, exp, inexact = rnd(q >> _EXTRA, grs, half_exp + bias)
+        word = (exp << man_bits) | (sig & man_mask)
+        return Done((word, INEXACT if inexact else CLEAR))
+
+    return (
+        Stage("unpack", unpack),
+        Stage("recurrence", recurrence, ("q", "r")),
+        Stage("round_pack", round_pack),
+    )
+
+
+def _sqrt_row(q: int, r: int, two: int) -> tuple[int, int]:
+    """One recurrence row: bring down two radicand bits, try ``q:01``."""
+    r = (r << 2) | two
+    trial = (q << 2) | 1
+    if r >= trial:
+        return (q << 1) | 1, r - trial
+    return q << 1, r
+
+
+@cache
+def sqrt_rows(fmt: FPFormat, mode: RoundingMode) -> tuple[Stage, ...]:
+    """:func:`sqrt_stages` with its recurrence as the hardware array: two
+    radicand bits per ``row[i]`` stage, one result bit each."""
+    unpack, _, round_pack = sqrt_stages(fmt, mode)
+    rows = fmt.man_bits + _EXTRA + 1  # result bits
+
+    def make_row(index: int) -> Stage:
+        shift = 2 * (rows - 1 - index)
+
+        def row(radicand, q, r, half_exp):
+            return radicand, *_sqrt_row(q, r, (radicand >> shift) & 0b11), half_exp
+
+        return Stage(f"row[{index}]", row, ("q", "r"))
+
+    return (unpack, *(make_row(i) for i in range(rows)), round_pack)
 
 
 def fp_sqrt(
@@ -53,38 +126,7 @@ def fp_sqrt(
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
 ) -> tuple[int, FPFlags]:
     """Square root of ``a``; returns ``(result bits, flags)``."""
-    special = _special_sqrt(fmt, a)
-    if special is not None:
-        return special
-
-    _, e, f = fmt.unpack(a)
-    m = denormalize(fmt, e, f)
-
-    # value = u * 2^E with u = m / 2^wm in [1, 2) and E = e - bias.  Make
-    # the exponent even by pre-doubling the significand when E is odd:
-    # sqrt(value) = sqrt(u * 2^p) * 2^((E - p) / 2).
-    e_unbiased = e - fmt.bias
-    parity = e_unbiased % 2
-    m_adj = m << parity  # u * 2^p scaled by 2^wm, in [2^wm, 2^(wm+2))
-    half_exp = (e_unbiased - parity) // 2
-
-    # Scale so the integer square root carries sig_bits + _EXTRA bits:
-    # q = sqrt(m_adj / 2^wm) * 2^t lies in [2^t, 2^(t+1)).
-    t = fmt.man_bits + _EXTRA
-    radicand = m_adj << (2 * t - fmt.man_bits)
-    q = math.isqrt(radicand)
-    remainder = radicand - q * q
-
-    # q in [2^t, 2^(t+1)): significand plus guard/round; remainder -> sticky.
-    grs = (q & 0b110) | (1 if (q & 1) or remainder else 0)
-    sig, inexact = round_significand(q >> _EXTRA, grs, mode)
-    exp_out = half_exp + fmt.bias
-    if sig >> fmt.sig_bits:  # rounding carry (sqrt < 2 so at most once)
-        sig >>= 1
-        exp_out += 1
-
-    # Normal inputs give exponents strictly inside the normal range.
-    return fmt.pack(0, exp_out, sig & fmt.man_mask), FPFlags(inexact=inexact)
+    return run(sqrt_stages(fmt, mode), a)
 
 
 def sqrt_recurrence(radicand: int, result_bits: int) -> tuple[int, int]:
@@ -92,20 +134,12 @@ def sqrt_recurrence(radicand: int, result_bits: int) -> tuple[int, int]:
 
     Processes the radicand two bits per row, maintaining the invariant
     partial remainder; returns ``(q, remainder)`` identical to
-    ``math.isqrt`` — the structural core uses this row form and the test
+    ``math.isqrt`` — the structural array runs the same rows and the test
     suite pins the equivalence.
     """
-    q = 0
-    r = 0
+    q = r = 0
     for i in reversed(range(result_bits)):
-        two = (radicand >> (2 * i)) & 0b11
-        r = (r << 2) | two
-        trial = (q << 2) | 1
-        if r >= trial:
-            r -= trial
-            q = (q << 1) | 1
-        else:
-            q <<= 1
+        q, r = _sqrt_row(q, r, (radicand >> (2 * i)) & 0b11)
     return q, r
 
 

@@ -111,6 +111,14 @@ class AdmissionController:
             self.on_release()
 
     @property
+    def full_detail(self) -> str:
+        """The 429 body's detail, naming the limit a shed request hit."""
+        return (
+            f"queue full: {self.limit} requests in flight, the queue_depth "
+            "limit; retry later"
+        )
+
+    @property
     def retry_after_s(self) -> int:
         """Client back-off hint for the ``Retry-After`` header.
 

@@ -555,7 +555,7 @@ class Handlers:
         if verdict is ADMIT_DRAINING:
             raise ProtocolError(503, "server is draining")
         if verdict is not ADMIT_OK:
-            raise ProtocolError(429, "queue full; retry later")
+            raise ProtocolError(429, self.service.admission.full_detail)
 
     async def _run_sweep_admitted(self, fn, trace=None):
         """Evaluate ``fn`` on the sweep thread for a request holding a slot.

@@ -23,6 +23,11 @@ from repro.explore.catalog import payload_bytes
 MAX_HEAD_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1 * 1024 * 1024
 
+_HEAD_TOO_LARGE = (
+    f"request head too large: over the {MAX_HEAD_BYTES}-byte "
+    "MAX_HEAD_BYTES limit"
+)
+
 REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -91,9 +96,9 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             return None  # clean close between requests
         raise ProtocolError(400, "truncated request head") from exc
     except asyncio.LimitOverrunError as exc:
-        raise ProtocolError(413, "request head too large") from exc
+        raise ProtocolError(413, _HEAD_TOO_LARGE) from exc
     if len(head) > MAX_HEAD_BYTES:
-        raise ProtocolError(413, "request head too large")
+        raise ProtocolError(413, _HEAD_TOO_LARGE)
 
     lines = head[:-4].split(b"\r\n")
     try:
@@ -122,7 +127,11 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         if length < 0:
             raise ProtocolError(400, "negative Content-Length")
         if length > MAX_BODY_BYTES:
-            raise ProtocolError(413, "request body too large")
+            raise ProtocolError(
+                413,
+                f"request body too large: {length} bytes, over the "
+                f"{MAX_BODY_BYTES}-byte MAX_BODY_BYTES limit",
+            )
     elif "transfer-encoding" in headers:
         raise ProtocolError(400, "chunked bodies are not supported")
 

@@ -138,7 +138,7 @@ class ReproService:
             else:
                 reply = _error_reply(
                     429,
-                    "queue full; retry later",
+                    self.admission.full_detail,
                     (("Retry-After", str(self.admission.retry_after_s)),),
                 )
             if own_trace:
@@ -159,6 +159,8 @@ class ReproService:
             )
         except BatchIntegrityError as exc:
             reply = _error_reply(500, f"batch integrity check failed: {exc}")
+        except Exception as exc:  # noqa: BLE001 - the batch raised
+            reply = _error_reply(500, f"internal error: {exc}")
         finally:
             self.admission.release()
         self.telemetry.request_latency_s.observe(
